@@ -169,7 +169,7 @@ allocgate:
 		| sed -E 's/^(Benchmark[A-Za-z0-9_]+)-[0-9]+/\1/' \
 		| $(GO) run ./cmd/bench2json -o .allocgate/new.json
 	$(GO) run ./cmd/bench2json -diff -fail-over 3 -fail-metrics allocs/op,B/op \
-		BENCH_20260807.json .allocgate/new.json
+		BENCH_20261017.json .allocgate/new.json
 	@rm -rf .allocgate
 
 # Hot-path regression radar, both halves of the profiling contract:
@@ -252,7 +252,9 @@ vulncheck:
 	fi
 
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . | $(GO) run ./cmd/bench2json -o BENCH_$$(date +%Y%m%d).json
+	$(GO) test -run '^$$' -bench . -benchmem . \
+		| sed -E 's/^(Benchmark[A-Za-z0-9_/#.-]+)-[0-9]+(\s)/\1\2/' \
+		| $(GO) run ./cmd/bench2json -o BENCH_$$(date +%Y%m%d).json
 
 clean:
 	$(GO) clean ./...

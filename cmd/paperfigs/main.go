@@ -60,6 +60,7 @@ type figRunner struct {
 
 	dmGrid *analysis.PerfGrid
 	fig42  *experiments.Figure42
+	fig52  *experiments.Figure52
 }
 
 // writeCSV dumps one figure's raw data when -csvdir is set.
@@ -124,6 +125,17 @@ func (r *figRunner) figure42() (*experiments.Figure42, error) {
 		r.fig42 = f
 	}
 	return r.fig42, nil
+}
+
+func (r *figRunner) figure52() (*experiments.Figure52, error) {
+	if r.fig52 == nil {
+		f, err := r.suite.RunFigure52(r.ctx, 0, nil, nil, nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		r.fig52 = f
+	}
+	return r.fig52, nil
 }
 
 var figures = []figure{
@@ -845,7 +857,7 @@ func runFig51(r *figRunner, w io.Writer) error {
 }
 
 func runFig52(r *figRunner, w io.Writer) error {
-	f, err := r.suite.RunFigure52(r.ctx, 0, nil, nil, nil, 0)
+	f, err := r.figure52()
 	if err != nil {
 		return err
 	}
@@ -873,7 +885,7 @@ func runFig52(r *figRunner, w io.Writer) error {
 }
 
 func runFig53(r *figRunner, w io.Writer) error {
-	f52, err := r.suite.RunFigure52(r.ctx, 0, nil, nil, nil, 0)
+	f52, err := r.figure52()
 	if err != nil {
 		return err
 	}
@@ -890,7 +902,7 @@ func runFig53(r *figRunner, w io.Writer) error {
 }
 
 func runFig54(r *figRunner, w io.Writer) error {
-	f52, err := r.suite.RunFigure52(r.ctx, 0, nil, nil, nil, 0)
+	f52, err := r.figure52()
 	if err != nil {
 		return err
 	}

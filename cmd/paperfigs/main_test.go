@@ -1,8 +1,15 @@
 package main
 
 import (
+	"context"
+	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/obs"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestKnownFigure(t *testing.T) {
@@ -76,5 +83,26 @@ func TestWriteCSVToDir(t *testing.T) {
 	r := &figRunner{csvDir: t.TempDir()}
 	if err := r.writeCSV("x", []string{"a", "b"}, [][]string{{"1", "2"}}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFigure52SweptOnce: figures 5-2, 5-3 and 5-4 all derive from the
+// Fig 5-2 sweep, which runs once per invocation however many of them are
+// selected.
+func TestFigure52SweptOnce(t *testing.T) {
+	tr := workload.Random(2000, 4096, 0.2, 7)
+	tr.WarmStart = 200
+	suite := experiments.NewSuiteWithTraces([]*trace.Trace{tr})
+	reg := obs.NewRegistry()
+	suite.SetExec(experiments.ExecOptions{Workers: 2, Metrics: reg})
+	r := &figRunner{ctx: context.Background(), suite: suite}
+	for _, run := range []func(*figRunner, io.Writer) error{runFig52, runFig53, runFig54} {
+		if err := run(r, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := int64(len(experiments.LatenciesNs) * len(experiments.TransferRates) * len(experiments.BlockSizesW))
+	if got := reg.Counter(obs.MCellsPlanned).Value(); got != want {
+		t.Errorf("cells_planned = %d after figures 5-2..5-4, want one Fig 5-2 sweep of %d", got, want)
 	}
 }

@@ -190,7 +190,7 @@ type Cache struct {
 	dirty []bool
 	masks []uint64 // lines × maskWords dirty bitmaps
 	vmask []uint64 // per-word valid bitmaps (sub-block mode only)
-	used  []uint64 // LRU ticks
+	used  []uint64 // LRU ticks; nil unless LRU picks among several ways
 	fifo  []uint16 // per-set next victim way
 
 	tick uint64
@@ -224,9 +224,11 @@ func New(cfg Config) (*Cache, error) {
 		valid:      make([]bool, lines),
 		dirty:      make([]bool, lines),
 		masks:      make([]uint64, lines*maskWords),
-		used:       make([]uint64, lines),
 		fifo:       make([]uint16, sets),
 		rng:        ReplacementRNG(cfg.Seed),
+	}
+	if cfg.Replacement == LRU && cfg.Assoc > 1 {
+		c.used = make([]uint64, lines)
 	}
 	if cfg.SubBlocked() {
 		c.vmask = make([]uint64, lines*maskWords)
@@ -374,8 +376,16 @@ func (c *Cache) fillSub(line int, addr uint64) {
 func (c *Cache) fill(line int, block uint64) {
 	c.tags[line] = block
 	c.valid[line] = true
-	c.tick++
-	c.used[line] = c.tick
+	c.touch(line)
+}
+
+// touch records a use of line for LRU replacement. No other policy, and no
+// single-way set, reads the ticks, so those caches skip the store.
+func (c *Cache) touch(line int) {
+	if c.used != nil {
+		c.tick++
+		c.used[line] = c.tick
+	}
 }
 
 // Read performs a load or instruction fetch of the word at addr. On a miss
@@ -386,8 +396,7 @@ func (c *Cache) Read(addr uint64) Result {
 	block := addr >> c.blockShift
 	_, line := c.lookup(block)
 	if line >= 0 {
-		c.tick++
-		c.used[line] = c.tick
+		c.touch(line)
 		if c.wordValid(line, addr) {
 			return Result{Hit: true}
 		}
@@ -413,8 +422,7 @@ func (c *Cache) Write(addr uint64) Result {
 	block := addr >> c.blockShift
 	_, line := c.lookup(block)
 	if line >= 0 {
-		c.tick++
-		c.used[line] = c.tick
+		c.touch(line)
 		if c.wordValid(line, addr) {
 			if c.cfg.WritePolicy == WriteBack {
 				c.dirty[line] = true
@@ -478,6 +486,8 @@ func (c *Cache) Reset() {
 	for i := range c.valid {
 		c.valid[i] = false
 		c.dirty[i] = false
+	}
+	for i := range c.used {
 		c.used[i] = 0
 	}
 	for i := range c.masks {

@@ -350,3 +350,28 @@ func TestSequentialMissCount(t *testing.T) {
 		t.Fatalf("sequential scan misses = %d, want %d", misses, 4096/8)
 	}
 }
+
+// TestLRUTicksOnlyWhereRead: only an LRU cache with several ways per set
+// keeps use ticks; random, FIFO and direct-mapped caches never read them,
+// so they carry no tick array and pay no store per access.
+func TestLRUTicksOnlyWhereRead(t *testing.T) {
+	for _, c := range []struct {
+		repl  Replacement
+		assoc int
+		ticks bool
+	}{
+		{LRU, 2, true}, {LRU, 1, false}, {Random, 2, false}, {FIFO, 4, false},
+	} {
+		cc := mustCache(t, Config{SizeWords: 256, BlockWords: 4, Assoc: c.assoc, Replacement: c.repl})
+		if got := cc.used != nil; got != c.ticks {
+			t.Errorf("%v %d-way: tick array present = %v, want %v", c.repl, c.assoc, got, c.ticks)
+		}
+		for a := uint64(0); a < 4096; a += 4 {
+			cc.Read(a)
+			cc.Write(a + 1)
+		}
+		if !c.ticks && cc.tick != 0 {
+			t.Errorf("%v %d-way: %d ticks counted without a tick array", c.repl, c.assoc, cc.tick)
+		}
+	}
+}

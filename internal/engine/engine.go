@@ -74,22 +74,28 @@ const (
 // any store that must pass toward memory), plus the run of untimed couplets
 // preceding it. A marker event carries no couplet at all: it pins the
 // warm-start boundary inside the replay.
+//
+// The record is 16 bytes. Addresses live in the profile's side array, in
+// event order, and only the events that use one append it: a missing
+// ifetch its address and, when a dirty victim leaves, the victim's block
+// address; a data reference its address when flagged evDAddr (misses and
+// write-through stores), then its dirty victim's.
 type event struct {
 	gap          uint32 // non-event couplets since the previous event
 	gapStoreHits uint32 // how many of those contained a store hit (cost 2)
-	marker       bool
-
-	hasI  bool
-	iMiss bool
-	iAddr uint64 // extended address of the missing ifetch
-	iVic  uint64 // victim block address
-	iVicW uint16 // victim write-back words (0 = clean or no victim)
-
-	d     dOp
-	dAddr uint64 // extended address of the data reference
-	dVic  uint64
-	dVicW uint16
+	flags        uint8
+	d            dOp
+	iVicW        uint16 // ifetch victim write-back words (0 = clean or no victim)
+	dVicW        uint16 // data victim write-back words
 }
+
+// Event flags.
+const (
+	evMarker uint8 = 1 << iota
+	evHasI         // the couplet has an instruction fetch
+	evIMiss        // ... which missed
+	evDAddr        // the data reference's address is in the side array
+)
 
 // Profile is the behavioural digest of (organization × trace): everything
 // the timing phase needs, at one record per memory-system interaction.
@@ -97,7 +103,8 @@ type Profile struct {
 	Org       Org
 	TraceName string
 
-	events []event
+	events [][]event  // record blocks, in order
+	addrs  [][]uint64 // side array of addresses (see event)
 	// tailGap counts trailing non-event couplets after the last event.
 	tailGap          uint32
 	tailGapStoreHits uint32
@@ -118,9 +125,11 @@ func (p *Profile) WarmCounters() system.Counters { return p.total.Sub(p.warmSnap
 // Events returns the number of recorded miss events (markers excluded).
 func (p *Profile) Events() int {
 	n := 0
-	for _, e := range p.events {
-		if !e.marker {
-			n++
+	for _, blk := range p.events {
+		for i := range blk {
+			if blk[i].flags&evMarker == 0 {
+				n++
+			}
 		}
 	}
 	return n
@@ -227,11 +236,13 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 		return 0
 	}
 
+	var events chunks[event]
+	var addrs chunks[uint64]
 	refs := t.Refs
 	var gap, gapStoreHits uint32
 	warmTaken := t.WarmStart == 0
 	flushGapAsMarker := func() {
-		p.events = append(p.events, event{gap: gap, gapStoreHits: gapStoreHits, marker: true})
+		events.add(event{gap: gap, gapStoreHits: gapStoreHits, flags: evMarker})
 		gap, gapStoreHits = 0, 0
 	}
 
@@ -251,6 +262,8 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 		p.total.Couplets++
 		p.total.Refs += int64(n)
 
+		// Every couplet that appends an address to the side array is an
+		// event, so addresses go straight in, in event order.
 		var ev event
 		interacts := false
 
@@ -258,16 +271,17 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 		var dref *trace.Ref
 		if first.Kind == trace.Ifetch {
 			p.total.Ifetches++
-			ev.hasI = true
+			ev.flags |= evHasI
 			res := ic.Read(first.Extended())
 			expI.OnRead(first.Extended(), res)
 			if !res.Hit {
 				p.total.IfetchMisses++
-				ev.iMiss = true
-				ev.iAddr = first.Extended()
+				ev.flags |= evIMiss
 				interacts = true
-				ev.iVicW = recordMiss(ifw, res)
-				ev.iVic = res.Victim.BlockAddr
+				addrs.add(first.Extended())
+				if ev.iVicW = recordMiss(ifw, res); ev.iVicW > 0 {
+					addrs.add(res.Victim.BlockAddr)
+				}
 			}
 			if n == 2 {
 				dref = &refs[i+1]
@@ -277,25 +291,24 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 		}
 
 		if dref != nil {
-			ev.dAddr = dref.Extended()
+			dAddr := dref.Extended()
+			var miss cache.Result // a read or write-allocate miss
 			switch dref.Kind {
 			case trace.Load:
 				p.total.Loads++
-				res := dc.Read(ev.dAddr)
-				expD.OnRead(ev.dAddr, res)
+				res := dc.Read(dAddr)
+				expD.OnRead(dAddr, res)
 				if res.Hit {
 					ev.d = dLoadHit
 				} else {
 					p.total.LoadMisses++
 					ev.d = dLoadMiss
-					interacts = true
-					ev.dVicW = recordMiss(dfw, res)
-					ev.dVic = res.Victim.BlockAddr
+					miss = res
 				}
 			case trace.Store:
 				p.total.Stores++
-				res := dc.Write(ev.dAddr)
-				expD.OnWrite(ev.dAddr, res)
+				res := dc.Write(dAddr)
+				expD.OnWrite(dAddr, res)
 				switch {
 				case res.Hit:
 					p.total.StoreHits++
@@ -303,21 +316,31 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 					if wtThrough {
 						p.total.StoreThroughWords++
 						interacts = true
+						ev.flags |= evDAddr
+						addrs.add(dAddr)
 					}
 				case !res.Allocated:
 					p.total.StoreMisses++
 					p.total.StoreThroughWords++
 					ev.d = dStoreMissNoAlloc
 					interacts = true
+					ev.flags |= evDAddr
+					addrs.add(dAddr)
 				default:
 					p.total.StoreMisses++
 					ev.d = dStoreMissAlloc
-					interacts = true
 					if wtThrough {
 						p.total.StoreThroughWords++
 					}
-					ev.dVicW = recordMiss(dfw, res)
-					ev.dVic = res.Victim.BlockAddr
+					miss = res
+				}
+			}
+			if ev.d == dLoadMiss || ev.d == dStoreMissAlloc {
+				interacts = true
+				ev.flags |= evDAddr
+				addrs.add(dAddr)
+				if ev.dVicW = recordMiss(dfw, miss); ev.dVicW > 0 {
+					addrs.add(miss.Victim.BlockAddr)
 				}
 			}
 		}
@@ -326,7 +349,7 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 			ev.gap = gap
 			ev.gapStoreHits = gapStoreHits
 			gap, gapStoreHits = 0, 0
-			p.events = append(p.events, ev)
+			events.add(ev)
 		} else {
 			gap++
 			if ev.d == dStoreHit {
@@ -342,6 +365,7 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 	}
 	p.tailGap = gap
 	p.tailGapStoreHits = gapStoreHits
+	p.events, p.addrs = events.blocks(), addrs.blocks()
 	if chk != nil {
 		tally := p.total.SelfCheckTally()
 		if err := chk.Finish(&tally); err != nil {

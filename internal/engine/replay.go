@@ -174,104 +174,118 @@ func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (
 	var warmTiming system.Counters
 	warmSeen := false
 
-	for _, ev := range p.events {
-		if chk != nil {
-			if err := chk.Err(); err != nil {
-				return system.Result{}, err
+	addrs := addrReader{rest: p.addrs}
+	for _, blk := range p.events {
+		for k := range blk {
+			ev := &blk[k]
+			if chk != nil {
+				if err := chk.Err(); err != nil {
+					return system.Result{}, err
+				}
 			}
-		}
-		now += int64(ev.gap) + int64(ev.gapStoreHits)
-		if rec != nil {
-			// Gap couplets cost one base cycle each plus one store
-			// cycle per contained store hit — attributed in bulk.
-			rec.AddGap(int64(ev.gap), int64(ev.gapStoreHits), now)
-		}
-		if ev.marker {
-			rec.MarkWarm()
-			warmTiming = system.Counters{
-				Cycles:             now,
-				BufFullStallCycles: r.buf.FullStallCycles,
-				BufMatchEvents:     r.buf.MatchEvents,
-				MemReads:           r.unit.Reads,
-				MemWrites:          r.unit.Writes,
-				MemWaitCycles:      r.unit.WaitCycles,
-				MemBusyCycles:      r.unit.BusyCycles,
+			now += int64(ev.gap) + int64(ev.gapStoreHits)
+			if rec != nil {
+				// Gap couplets cost one base cycle each plus one store
+				// cycle per contained store hit — attributed in bulk.
+				rec.AddGap(int64(ev.gap), int64(ev.gapStoreHits), now)
 			}
-			warmSeen = true
-			continue
-		}
-		if rec != nil {
-			rec.BeginCouplet(now)
-		}
-		comp := now + 1
-		if ev.hasI {
-			if ev.iMiss {
-				c := r.missFetch(now+1, ifw, ev.iAddr, int(ev.iVicW), ev.iVic)
+			if ev.flags&evMarker != 0 {
+				rec.MarkWarm()
+				warmTiming = system.Counters{
+					Cycles:             now,
+					BufFullStallCycles: r.buf.FullStallCycles,
+					BufMatchEvents:     r.buf.MatchEvents,
+					MemReads:           r.unit.Reads,
+					MemWrites:          r.unit.Writes,
+					MemWaitCycles:      r.unit.WaitCycles,
+					MemBusyCycles:      r.unit.BusyCycles,
+				}
+				warmSeen = true
+				continue
+			}
+			if rec != nil {
+				rec.BeginCouplet(now)
+			}
+			comp := now + 1
+			if ev.flags&evIMiss != 0 {
+				iAddr := addrs.next()
+				var vic uint64
+				if ev.iVicW > 0 {
+					vic = addrs.next()
+				}
+				c := r.missFetch(now+1, ifw, iAddr, int(ev.iVicW), vic)
 				if rec != nil {
 					rec.NoteRef(simtrace.Ifetch, c)
-					rec.Event(simtrace.EvIfetchMiss, now, c, ev.iAddr, 0)
+					rec.Event(simtrace.EvIfetchMiss, now, c, iAddr, 0)
 				}
 				if c > comp {
 					comp = c
 				}
-			} else if rec != nil {
+			} else if ev.flags&evHasI != 0 && rec != nil {
 				rec.NoteRef(simtrace.Ifetch, now+1)
 			}
+			var dAddr, dVic uint64
+			if ev.flags&evDAddr != 0 {
+				dAddr = addrs.next()
+				if ev.dVicW > 0 {
+					dVic = addrs.next()
+				}
+			}
+			switch ev.d {
+			case dNone:
+				// no data reference in this couplet
+			case dLoadHit:
+				// one cycle, already covered by comp
+				if rec != nil {
+					rec.NoteRef(simtrace.Load, now+1)
+				}
+			case dStoreHit:
+				done := now + 2
+				if wt {
+					done = r.storeThrough(now, done, dAddr)
+				}
+				if rec != nil {
+					rec.NoteRef(simtrace.Store, done)
+				}
+				if done > comp {
+					comp = done
+				}
+			case dLoadMiss:
+				c := r.missFetch(now+1, dfw, dAddr, int(ev.dVicW), dVic)
+				if rec != nil {
+					rec.NoteRef(simtrace.Load, c)
+					rec.Event(simtrace.EvLoadMiss, now, c, dAddr, 0)
+				}
+				if c > comp {
+					comp = c
+				}
+			case dStoreMissNoAlloc:
+				done := r.storeThrough(now, now+2, dAddr)
+				if rec != nil {
+					rec.NoteRef(simtrace.Store, done)
+				}
+				if done > comp {
+					comp = done
+				}
+			case dStoreMissAlloc:
+				c := r.missFetch(now+1, dfw, dAddr, int(ev.dVicW), dVic)
+				c++
+				if wt {
+					c = r.storeThrough(now, c, dAddr)
+				}
+				if rec != nil {
+					rec.NoteRef(simtrace.Store, c)
+					rec.Event(simtrace.EvStoreMiss, now, c, dAddr, 0)
+				}
+				if c > comp {
+					comp = c
+				}
+			}
+			if rec != nil {
+				rec.EndCouplet(comp)
+			}
+			now = comp
 		}
-		switch ev.d {
-		case dNone:
-			// no data reference in this couplet
-		case dLoadHit:
-			// one cycle, already covered by comp
-			if rec != nil {
-				rec.NoteRef(simtrace.Load, now+1)
-			}
-		case dStoreHit:
-			done := now + 2
-			if wt {
-				done = r.storeThrough(now, done, ev.dAddr)
-			}
-			if rec != nil {
-				rec.NoteRef(simtrace.Store, done)
-			}
-			if done > comp {
-				comp = done
-			}
-		case dLoadMiss:
-			c := r.missFetch(now+1, dfw, ev.dAddr, int(ev.dVicW), ev.dVic)
-			if rec != nil {
-				rec.NoteRef(simtrace.Load, c)
-				rec.Event(simtrace.EvLoadMiss, now, c, ev.dAddr, 0)
-			}
-			if c > comp {
-				comp = c
-			}
-		case dStoreMissNoAlloc:
-			done := r.storeThrough(now, now+2, ev.dAddr)
-			if rec != nil {
-				rec.NoteRef(simtrace.Store, done)
-			}
-			if done > comp {
-				comp = done
-			}
-		case dStoreMissAlloc:
-			c := r.missFetch(now+1, dfw, ev.dAddr, int(ev.dVicW), ev.dVic)
-			c++
-			if wt {
-				c = r.storeThrough(now, c, ev.dAddr)
-			}
-			if rec != nil {
-				rec.NoteRef(simtrace.Store, c)
-				rec.Event(simtrace.EvStoreMiss, now, c, ev.dAddr, 0)
-			}
-			if c > comp {
-				comp = c
-			}
-		}
-		if rec != nil {
-			rec.EndCouplet(comp)
-		}
-		now = comp
 	}
 	now += int64(p.tailGap) + int64(p.tailGapStoreHits)
 	if rec != nil {

@@ -20,6 +20,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/explain"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/simtrace"
 	"repro/internal/stats"
@@ -74,7 +75,8 @@ type Suite struct {
 	evRec *simtrace.Recorder
 }
 
-// profileEntry is a single-flight slot in the profile cache.
+// profileEntry is a single-flight slot in the profile cache. It also holds
+// the profile's shared replays: one single-flight slot per timing class.
 type profileEntry struct {
 	once sync.Once
 	p    *engine.Profile
@@ -82,6 +84,57 @@ type profileEntry struct {
 	// pass, nil unless ExecOptions.Explain armed the recorder.
 	exp *explain.Report
 	err error
+
+	mu      sync.Mutex
+	replays map[replayClass]*replayEntry
+}
+
+// replayClass is everything an uninstrumented replay's result depends on
+// besides the profile: the memory timing quantized at the cell's cycle
+// time, with the cycle time itself cleared, and the write buffer depth.
+// The cycle time only scales cycles into nanoseconds (Result.CycleNs), so
+// cycle times that quantize alike — the treads of Fig 3-2's staircase —
+// replay once and share the counters.
+type replayClass struct {
+	mem   mem.Timing
+	depth int
+}
+
+// replayEntry is a single-flight slot holding one shared replay.
+type replayEntry struct {
+	once sync.Once
+	res  system.Result
+	err  error
+}
+
+// slotPanic is the error a single-flight slot keeps when its computation
+// panicked. Retrying cannot help, as the slot is spent.
+type slotPanic struct{ val any }
+
+func (e *slotPanic) Error() string {
+	return fmt.Sprintf("experiments: panic in shared computation: %v", e.val)
+}
+
+func (e *slotPanic) Permanent() bool { return true }
+
+// Unwrap exposes a panic value that is itself an error.
+func (e *slotPanic) Unwrap() error {
+	err, _ := e.val.(error)
+	return err
+}
+
+// singleFlight runs fn through once and stores its error in *errp. A panic
+// inside fn becomes that error: sync.Once would otherwise mark the slot
+// done with neither a value nor an error for every later caller.
+func singleFlight(once *sync.Once, errp *error, fn func() error) {
+	once.Do(func() {
+		defer func() {
+			if v := recover(); v != nil {
+				*errp = &slotPanic{val: v}
+			}
+		}()
+		*errp = fn()
+	})
 }
 
 type profileKey struct {
@@ -155,20 +208,15 @@ func orgFor(totalKB, blockWords, assoc int) engine.Org {
 	return engine.Org{ICache: cfg, DCache: cfg}
 }
 
-// profile returns the cached behavioural profile of the organization
-// against trace i, building it on first use. Safe for concurrent callers:
-// the expensive behavioural pass runs exactly once per key, with
-// contending cells blocking on the builder rather than duplicating it.
-func (s *Suite) profile(i int, org engine.Org) (*engine.Profile, error) {
-	p, _, err := s.profileExplained(i, org)
-	return p, err
-}
-
-// profileExplained is profile plus the behavioural pass's warm-window
-// explainability report (nil unless ExecOptions.Explain is set). The
-// report rides the same single-flight slot, so it exists exactly once per
+// profileEntry returns the cached behavioural profile slot of the
+// organization against trace i, building the profile on first use. Safe
+// for concurrent callers: the expensive behavioural pass runs exactly once
+// per key, with contending cells blocking on the builder rather than
+// duplicating it. Besides the profile, the slot carries the behavioural
+// pass's warm-window explainability report (nil unless
+// ExecOptions.Explain is set), so the report exists exactly once per
 // (organization × trace) however many replay cells share the profile.
-func (s *Suite) profileExplained(i int, org engine.Org) (*engine.Profile, *explain.Report, error) {
+func (s *Suite) profileEntry(i int, org engine.Org) *profileEntry {
 	key := profileKey{
 		traceIdx:   i,
 		sizeWords:  org.DCache.SizeWords,
@@ -186,24 +234,71 @@ func (s *Suite) profileExplained(i int, org engine.Org) (*engine.Profile, *expla
 		s.profiles[key] = e
 	}
 	s.mu.Unlock()
-	e.once.Do(func() {
+	singleFlight(&e.once, &e.err, func() error {
 		var rec *explain.Recorder
 		if s.exec.Explain != nil {
 			rec = explain.New(*s.exec.Explain)
 		}
 		p, err := engine.BuildProfileExplained(org, s.Traces[i], s.exec.SelfCheck, rec)
 		if err != nil {
-			e.err = fmt.Errorf("experiments: profiling %s against %s: %w",
+			return fmt.Errorf("experiments: profiling %s against %s: %w",
 				org.DCache.String(), s.Traces[i].Name, err)
-			return
 		}
 		e.p = p
 		if rec.On() {
 			e.exp = rec.ReportWarm()
 			s.recordExplain(e.exp)
 		}
+		return nil
 	})
-	return e.p, e.exp, e.err
+	return e
+}
+
+// replay runs the timing phase of a built profile slot at tm for one cell.
+// Uninstrumented replays are shared: the first cell of a timing class
+// replays, and every cell of the class reads that result stamped with its
+// own cycle time. A cell that arms the selfcheck oracle or a recorder
+// replays alone, because its checks and attribution belong to it.
+func (s *Suite) replay(e *profileEntry, tm engine.Timing, rec *simtrace.Recorder) (system.Result, error) {
+	if rec != nil || s.exec.SelfCheck != nil || tm.Validate() != nil {
+		// An invalid timing, too, replays alone and reports its error.
+		s.count(obs.MReplaysRun)
+		return e.p.ReplayTraced(tm, s.exec.SelfCheck, rec)
+	}
+	q := tm.Mem.MustQuantize(tm.CycleNs)
+	q.CycleNs = 0
+	class := replayClass{mem: q, depth: tm.WriteBufDepth}
+	e.mu.Lock()
+	r, ok := e.replays[class]
+	if !ok {
+		if e.replays == nil {
+			e.replays = make(map[replayClass]*replayEntry)
+		}
+		r = &replayEntry{}
+		e.replays[class] = r
+	}
+	e.mu.Unlock()
+	ran := false
+	singleFlight(&r.once, &r.err, func() (err error) {
+		ran = true
+		r.res, err = e.p.Replay(tm)
+		return err
+	})
+	if ran {
+		s.count(obs.MReplaysRun)
+	} else {
+		s.count(obs.MReplaysShared)
+	}
+	res := r.res
+	res.CycleNs = tm.CycleNs
+	return res, r.err
+}
+
+// count adds one to the named registry counter, if a registry is attached.
+func (s *Suite) count(name string) {
+	if s.exec.Metrics != nil {
+		s.exec.Metrics.Counter(name).Add(1)
+	}
 }
 
 // replayAll replays the organization at the timing for every trace through

@@ -209,7 +209,7 @@ func (s *Suite) traceFingerprint(i int) string {
 
 // replayCell builds the runner cell for one (organization × timing ×
 // trace) unit: behavioural profile (cached, single-flight) plus timing
-// replay. The result carries execution time, cycles per reference and the
+// replay (shared across cycle times that quantize alike). The result carries execution time, cycles per reference and the
 // warm-window counters.
 func (s *Suite) replayCell(i int, org engine.Org, tm engine.Timing) runner.Cell[cellOut] {
 	return runner.Cell[cellOut]{
@@ -218,15 +218,15 @@ func (s *Suite) replayCell(i int, org engine.Org, tm engine.Timing) runner.Cell[
 			if err := ctx.Err(); err != nil {
 				return cellOut{}, err
 			}
-			p, err := s.profile(i, org)
-			if err != nil {
-				return cellOut{}, err
+			e := s.profileEntry(i, org)
+			if e.err != nil {
+				return cellOut{}, e.err
 			}
 			if err := ctx.Err(); err != nil {
 				return cellOut{}, err
 			}
 			rec := s.cellRecorder()
-			res, err := p.ReplayTraced(tm, s.exec.SelfCheck, rec)
+			res, err := s.replay(e, tm, rec)
 			if err != nil {
 				return cellOut{}, err
 			}
@@ -245,11 +245,11 @@ func (s *Suite) countersCell(i int, org engine.Org) runner.Cell[cellOut] {
 			if err := ctx.Err(); err != nil {
 				return cellOut{}, err
 			}
-			p, exp, err := s.profileExplained(i, org)
-			if err != nil {
-				return cellOut{}, err
+			e := s.profileEntry(i, org)
+			if e.err != nil {
+				return cellOut{}, e.err
 			}
-			return cellOut{Warm: p.WarmCounters(), Explain: exp}, nil
+			return cellOut{Warm: e.p.WarmCounters(), Explain: e.exp}, nil
 		},
 	}
 }

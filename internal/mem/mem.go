@@ -14,7 +14,11 @@
 // These rules reproduce the paper's Table 2 exactly (see the unit tests).
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // Rate is a rational transfer rate: Num words move per Den cycles. The
 // paper varies the rate from four words per cycle down to one word per four
@@ -167,11 +171,22 @@ func (t Timing) WriteAcceptCycles(words int) int {
 	return 1 + t.TransferCycles(words)
 }
 
+// tableWords bounds the transfer table: one entry per power-of-two word
+// count from 1 through 1<<(tableWords-1) = 128, which covers every block,
+// fetch and whole-block write-back size the paper sweeps.
+const tableWords = 8
+
 // Unit is the run-time scheduling state of the single memory functional
 // unit: the earliest cycle at which it can begin a new operation. The zero
 // value is an idle unit at cycle 0.
 type Unit struct {
+	// Timing is fixed at NewUnit: the transfer table below derives from it.
 	Timing Timing
+	// xfer[k] is Timing.TransferCycles(1<<k), filled by NewUnit so the
+	// per-operation path needs no division. Write accept and busy times are
+	// one and two additions away from it. A zero-value Unit (empty table)
+	// and word counts off the table use the formula instead.
+	xfer [tableWords]int32
 	// FreeAt is the first cycle at which a new operation may start
 	// (previous operation plus its recovery).
 	FreeAt int64
@@ -195,7 +210,26 @@ type Unit struct {
 }
 
 // NewUnit returns an idle unit with the given timing.
-func NewUnit(t Timing) *Unit { return &Unit{Timing: t} }
+func NewUnit(t Timing) *Unit {
+	u := &Unit{Timing: t}
+	for k := range u.xfer {
+		if c := t.TransferCycles(1 << k); c <= math.MaxInt32 {
+			u.xfer[k] = int32(c)
+		}
+	}
+	return u
+}
+
+// TransferCycles is u.Timing.TransferCycles(words), read from the unit's
+// table when words is a tabled power of two.
+func (u *Unit) TransferCycles(words int) int64 {
+	if w := uint(words); w&(w-1) == 0 && w != 0 && w < 1<<tableWords {
+		if c := u.xfer[bits.TrailingZeros(w)]; c != 0 {
+			return int64(c)
+		}
+	}
+	return int64(u.Timing.TransferCycles(words))
+}
 
 // StartRead begins a block read no earlier than now, returning the cycle at
 // which the last word has arrived. The unit then recovers before its next
@@ -230,7 +264,7 @@ func (u *Unit) StartReadBlocked(now int64, blockWords, victimOutWords int) (data
 	if v := now + int64(victimOutWords); v > fillStart {
 		fillStart = v
 	}
-	dataAt = fillStart + int64(u.Timing.TransferCycles(blockWords))
+	dataAt = fillStart + u.TransferCycles(blockWords)
 	u.FreeAt = dataAt + int64(u.Timing.RecoveryCycles)
 	u.BusyCycles += u.FreeAt - start
 	u.ReadServiceCycles += dataAt - now
@@ -247,8 +281,9 @@ func (u *Unit) StartWrite(now int64, words int) (acceptedAt int64) {
 		u.WaitCycles += u.FreeAt - start
 		start = u.FreeAt
 	}
-	accepted := start + int64(u.Timing.WriteAcceptCycles(words))
-	busy := start + int64(u.Timing.WriteBusyCycles(words))
+	// WriteAcceptCycles and WriteBusyCycles, from the transfer table.
+	accepted := start + 1 + u.TransferCycles(words)
+	busy := accepted + int64(u.Timing.WriteLagCycles)
 	u.FreeAt = busy + int64(u.Timing.RecoveryCycles)
 	u.BusyCycles += u.FreeAt - start
 	u.Writes++

@@ -60,6 +60,12 @@ const (
 	// MExplainCells counts cells whose explain report fed those counters;
 	// like MAttribCells it sits outside the explain_ namespace on purpose.
 	MExplainCells = "cells_explained"
+	// MReplaysRun counts timing replays a suite actually ran, and
+	// MReplaysShared the replay cells served by a replay another cell of
+	// the same quantized timing class already ran (see
+	// experiments.Suite). Instrumented cells always run their own.
+	MReplaysRun    = "replays_run"
+	MReplaysShared = "replays_shared"
 )
 
 // Counter is a monotonically increasing metric, safe for concurrent use.

@@ -103,6 +103,9 @@ func TestStorageBreakerDegradedMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The slow job journals its start before its first cell runs; wait for
+	// that cell, so every journal failure below is a submission's own.
+	waitFirstCell(t, slow, 30*time.Second)
 
 	// The disk dies. Failed submissions are honest journal errors until
 	// the threshold trips the breaker; from then on they are DegradedError

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -324,6 +325,10 @@ func TestAccessLogOneLinePerRequest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Read to EOF: a body larger than the server's write buffer
+		// reaches the client before the handler returns and logs, and
+		// only the end of the response follows the access-log line.
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // status is all we need
 		resp.Body.Close()
 	}
 
@@ -433,7 +438,12 @@ func TestEventStreamResumeAcrossRestart(t *testing.T) {
 	if n < 4 {
 		t.Fatalf("only %d events before restart", n)
 	}
-	s.Kill()
+	// Drain, not Kill: the worker journals and exports the trace after the
+	// job turns done, and Kill would leave those writes racing the next
+	// life and the removal of the data directory.
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	ts.Close()
 
 	s2, err := Open(testConfig(dir))

@@ -457,7 +457,7 @@ func (s *System) wordArrival(fillStart int64, words int) int64 {
 	if len(s.levels) > 0 {
 		return fillStart + int64(words)
 	}
-	return fillStart + int64(s.timing.TransferCycles(words))
+	return fillStart + s.unit.TransferCycles(words)
 }
 
 // readRef services a load or instruction fetch.

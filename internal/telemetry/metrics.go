@@ -106,6 +106,8 @@ var Defs = []MetricDef{
 	{obs.MExplainCapacity, "counter", "Misses classified capacity (lost even fully associative) across explained simulations."},
 	{obs.MExplainConflict, "counter", "Misses classified conflict (set-mapping collisions) across explained simulations."},
 	{obs.MSimRefs, "counter", "Simulated references (warm window) across cells."},
+	{obs.MReplaysRun, "counter", "Timing replays run by sweep cells."},
+	{obs.MReplaysShared, "counter", "Replay cells served by another cell's replay of the same quantized timing."},
 	{obs.MCellLatency, "timing", "Per-cell wall-clock latency."},
 	// Service job lifecycle (internal/service).
 	{MJobsSubmitted, "counter", "Accepted (journaled) job submissions."},

@@ -64,7 +64,10 @@ type Buffer struct {
 	sink  Sink
 	aud   Auditor
 	tr    Tracer
-	queue []entry // unstarted writes only; started writes leave the queue
+	// ring holds the unstarted writes, oldest at ring[head]; started
+	// writes leave it. Its length is the depth, so it never grows.
+	ring    []entry
+	head, n int
 
 	// Statistics.
 	Enqueued        int64
@@ -81,7 +84,7 @@ func New(depth int, sink Sink) (*Buffer, error) {
 	if depth < 0 {
 		return nil, fmt.Errorf("writebuf: negative depth %d", depth)
 	}
-	return &Buffer{depth: depth, sink: sink}, nil
+	return &Buffer{depth: depth, sink: sink, ring: make([]entry, depth)}, nil
 }
 
 // MustNew is New that panics on error, for tests and call sites whose
@@ -105,15 +108,23 @@ func (b *Buffer) SetTracer(t Tracer) { b.tr = t }
 func (b *Buffer) Depth() int { return b.depth }
 
 // Len returns the number of queued (unstarted) writes.
-func (b *Buffer) Len() int { return len(b.queue) }
+func (b *Buffer) Len() int { return b.n }
+
+// at returns the i-th queued write, counting from the oldest.
+func (b *Buffer) at(i int) *entry {
+	if i += b.head; i >= b.depth {
+		i -= b.depth
+	}
+	return &b.ring[i]
+}
 
 // Drain starts every queued write whose start time falls strictly before
 // now, modelling background draining while the processor computed. Started
 // writes are removed from the queue; the sink's busy state carries their
 // cost forward.
 func (b *Buffer) Drain(now int64) {
-	for len(b.queue) > 0 {
-		head := b.queue[0]
+	for b.n > 0 {
+		head := b.ring[b.head]
 		start := head.ready
 		if f := b.sink.NextFree(); f > start {
 			start = f
@@ -129,12 +140,15 @@ func (b *Buffer) Drain(now int64) {
 	}
 }
 
+// pop removes the oldest queued write, which the caller has started.
 func (b *Buffer) pop() {
 	if b.aud != nil {
-		b.aud.Started(b.queue[0].addr, b.queue[0].words)
+		b.aud.Started(b.ring[b.head].addr, b.ring[b.head].words)
 	}
-	copy(b.queue, b.queue[1:])
-	b.queue = b.queue[:len(b.queue)-1]
+	if b.head++; b.head == b.depth {
+		b.head = 0
+	}
+	b.n--
 	b.Drained++
 }
 
@@ -168,8 +182,8 @@ func (b *Buffer) Enqueue(now int64, addr uint64, words int, ready int64) int64 {
 		return now
 	}
 	release := now
-	for len(b.queue) >= b.depth {
-		head := b.queue[0]
+	for b.n >= b.depth {
+		head := b.ring[b.head]
 		accepted := b.sink.StartWrite(head.ready, head.addr, head.words)
 		if b.tr != nil {
 			b.tr.WriteStarted(head.ready, head.addr, head.words, accepted)
@@ -185,12 +199,13 @@ func (b *Buffer) Enqueue(now int64, addr uint64, words int, ready int64) int64 {
 			b.tr.FullStall(now, release)
 		}
 	}
-	b.queue = append(b.queue, entry{addr: addr, words: words, ready: ready})
+	b.n++
+	*b.at(b.n - 1) = entry{addr: addr, words: words, ready: ready}
 	if b.aud != nil {
 		b.aud.Enqueued(addr, words)
 	}
-	if len(b.queue) > b.MaxOccupancy {
-		b.MaxOccupancy = len(b.queue)
+	if b.n > b.MaxOccupancy {
+		b.MaxOccupancy = b.n
 	}
 	return release
 }
@@ -208,8 +223,8 @@ func overlaps(aStart uint64, aWords int, bStart uint64, bWords int) bool {
 // Reports whether a match occurred.
 func (b *Buffer) FlushMatching(now int64, addr uint64, words int) bool {
 	match := -1
-	for i, e := range b.queue {
-		if overlaps(e.addr, e.words, addr, words) {
+	for i := 0; i < b.n; i++ {
+		if e := b.at(i); overlaps(e.addr, e.words, addr, words) {
 			match = i
 		}
 	}
@@ -221,7 +236,7 @@ func (b *Buffer) FlushMatching(now int64, addr uint64, words int) bool {
 		b.tr.Match(now, addr)
 	}
 	for i := 0; i <= match; i++ {
-		e := b.queue[i]
+		e := *b.at(i)
 		start := e.ready
 		if start < now {
 			start = now
@@ -234,7 +249,10 @@ func (b *Buffer) FlushMatching(now int64, addr uint64, words int) bool {
 			b.tr.WriteStarted(start, e.addr, e.words, accepted)
 		}
 	}
-	b.queue = b.queue[:copy(b.queue, b.queue[match+1:])]
+	if b.head += match + 1; b.head >= b.depth {
+		b.head -= b.depth
+	}
+	b.n -= match + 1
 	b.Drained += int64(match + 1)
 	return true
 }
@@ -244,8 +262,8 @@ func (b *Buffer) FlushMatching(now int64, addr uint64, words int) bool {
 // simulation so traffic statistics include buffered writes.
 func (b *Buffer) FlushAll(now int64) int64 {
 	last := now
-	for len(b.queue) > 0 {
-		e := b.queue[0]
+	for b.n > 0 {
+		e := b.ring[b.head]
 		start := e.ready
 		if start < now {
 			start = now
@@ -264,27 +282,27 @@ func (b *Buffer) FlushAll(now int64) int64 {
 // positive entry sizes, and counter conservation (every enqueued write is
 // either drained or still queued).
 func (b *Buffer) CheckInvariants() error {
-	if b.depth > 0 && len(b.queue) > b.depth {
-		return fmt.Errorf("writebuf: %d queued entries exceed depth %d", len(b.queue), b.depth)
+	if b.n > b.depth {
+		return fmt.Errorf("writebuf: %d queued entries exceed depth %d", b.n, b.depth)
 	}
 	if b.depth > 0 && b.MaxOccupancy > b.depth {
 		return fmt.Errorf("writebuf: max occupancy %d exceeds depth %d", b.MaxOccupancy, b.depth)
 	}
-	for i, e := range b.queue {
-		if e.words <= 0 {
+	for i := 0; i < b.n; i++ {
+		if e := b.at(i); e.words <= 0 {
 			return fmt.Errorf("writebuf: entry %d holds %d words", i, e.words)
 		}
 	}
-	if b.Enqueued != b.Drained+int64(len(b.queue)) {
+	if b.Enqueued != b.Drained+int64(b.n) {
 		return fmt.Errorf("writebuf: conservation: enqueued %d != drained %d + queued %d",
-			b.Enqueued, b.Drained, len(b.queue))
+			b.Enqueued, b.Drained, b.n)
 	}
 	return nil
 }
 
 // Reset clears the queue and statistics.
 func (b *Buffer) Reset() {
-	b.queue = b.queue[:0]
+	b.head, b.n = 0, 0
 	b.Enqueued, b.Drained, b.MatchEvents, b.FullStallCycles = 0, 0, 0, 0
 	b.MaxOccupancy = 0
 }
