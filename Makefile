@@ -44,8 +44,8 @@
 #                  pay for the instrumentation's existence
 #   check        — all of the above
 #
-# `make fuzz-long` runs the trace-format fuzzers for 30 s each and is not
-# part of the gate.
+# `make fuzz-long` runs the fuzzers for 30 s each and is not part of the
+# gate.
 #
 # `make bench` snapshots the benchmark suite (with allocation stats) to
 # BENCH_<date>.json via cmd/bench2json. Compare two snapshots with:
@@ -76,12 +76,13 @@ race:
 # Go runs fuzz seed corpora as ordinary tests when -fuzz is absent; this
 # target exists so the gate states the intent explicitly.
 fuzz:
-	$(GO) test -run 'Fuzz' ./internal/trace/ ./internal/check/
+	$(GO) test -run 'Fuzz' ./internal/trace/ ./internal/check/ ./internal/engine/
 
 fuzz-long:
 	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzReadDin -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzOracleLockstep -fuzztime 30s ./internal/check/
+	$(GO) test -run '^$$' -fuzz FuzzBuildProfiles -fuzztime 30s ./internal/engine/
 
 # The lockstep-oracle tests across the cache, engine, system and sweep
 # layers, plus the metamorphic cache properties they rest on.

@@ -455,6 +455,29 @@ func BenchmarkBehavioralPass(b *testing.B) {
 	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 }
 
+// BenchmarkBehavioralPassChain builds the eleven direct-mapped sizes of a
+// Fig 3-2 sweep in one BuildProfiles pass over the ablation trace. refs/s
+// counts trace references walked, profiles/s profiles built.
+func BenchmarkBehavioralPassChain(b *testing.B) {
+	tr := ablationTrace(b)
+	base := ablationConfig(nil)
+	var orgs []engine.Org
+	for _, kb := range experiments.TotalSizesKB {
+		icfg, dcfg := base.ICache, base.DCache
+		icfg.SizeWords = kb * 1024 / 4 / 2
+		dcfg.SizeWords = icfg.SizeWords
+		orgs = append(orgs, engine.Org{ICache: icfg, DCache: dcfg})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.BuildProfiles(orgs, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
+	b.ReportMetric(float64(len(orgs))*float64(b.N)/b.Elapsed().Seconds(), "profiles/s")
+}
+
 func BenchmarkTimingReplay(b *testing.B) {
 	tr := ablationTrace(b)
 	cfg := ablationConfig(nil)

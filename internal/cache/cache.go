@@ -191,10 +191,10 @@ type Cache struct {
 	masks []uint64 // lines × maskWords dirty bitmaps
 	vmask []uint64 // per-word valid bitmaps (sub-block mode only)
 	used  []uint64 // LRU ticks; nil unless LRU picks among several ways
-	fifo  []uint16 // per-set next victim way
+	fifo  []uint16 // per-set next victim way; nil unless FIFO picks among several
 
 	tick uint64
-	rng  *rand.Rand
+	rng  *rand.Rand // nil unless random replacement picks among several ways
 }
 
 // ReplacementRNG returns the random-replacement stream for a seed. It is
@@ -224,11 +224,18 @@ func New(cfg Config) (*Cache, error) {
 		valid:      make([]bool, lines),
 		dirty:      make([]bool, lines),
 		masks:      make([]uint64, lines*maskWords),
-		fifo:       make([]uint16, sets),
-		rng:        ReplacementRNG(cfg.Seed),
 	}
-	if cfg.Replacement == LRU && cfg.Assoc > 1 {
-		c.used = make([]uint64, lines)
+	// Replacement state exists only where the policy chooses among
+	// several ways; a direct-mapped cache has one candidate per set.
+	if cfg.Assoc > 1 {
+		switch cfg.Replacement {
+		case LRU:
+			c.used = make([]uint64, lines)
+		case FIFO:
+			c.fifo = make([]uint16, sets)
+		default:
+			c.rng = ReplacementRNG(cfg.Seed)
+		}
 	}
 	if cfg.SubBlocked() {
 		c.vmask = make([]uint64, lines*maskWords)
@@ -264,6 +271,9 @@ func (c *Cache) lookup(block uint64) (set int, line int) {
 // victimWay selects a way to evict in the given set.
 func (c *Cache) victimWay(set int) int {
 	base := set * c.assoc
+	if c.assoc == 1 {
+		return base
+	}
 	// Prefer an invalid way.
 	for w := 0; w < c.assoc; w++ {
 		if !c.valid[base+w] {
@@ -284,9 +294,6 @@ func (c *Cache) victimWay(set int) int {
 		c.fifo[set] = uint16((w + 1) % c.assoc)
 		return base + w
 	default: // Random
-		if c.assoc == 1 {
-			return base
-		}
 		return base + c.rng.IntN(c.assoc)
 	}
 }
@@ -424,10 +431,7 @@ func (c *Cache) Write(addr uint64) Result {
 	if line >= 0 {
 		c.touch(line)
 		if c.wordValid(line, addr) {
-			if c.cfg.WritePolicy == WriteBack {
-				c.dirty[line] = true
-				c.setDirtyWord(line, addr)
-			}
+			c.markDirty(line, addr)
 			return Result{Hit: true}
 		}
 		// The word's sub-block is not resident: with write-allocate
@@ -437,10 +441,7 @@ func (c *Cache) Write(addr uint64) Result {
 			return Result{}
 		}
 		c.fillSub(line, addr)
-		if c.cfg.WritePolicy == WriteBack {
-			c.dirty[line] = true
-			c.setDirtyWord(line, addr)
-		}
+		c.markDirty(line, addr)
 		return Result{Allocated: true}
 	}
 	if !c.cfg.WriteAllocate {
@@ -451,16 +452,44 @@ func (c *Cache) Write(addr uint64) Result {
 	v := c.evict(line)
 	c.fill(line, block)
 	c.fillSub(line, addr)
-	if c.cfg.WritePolicy == WriteBack {
-		c.dirty[line] = true
-		c.setDirtyWord(line, addr)
-	}
+	c.markDirty(line, addr)
 	return Result{Allocated: true, Victim: v}
 }
 
-func (c *Cache) setDirtyWord(line int, addr uint64) {
-	off := int(addr & uint64(c.cfg.BlockWords-1))
-	c.masks[line*c.maskWords+off/64] |= 1 << uint(off%64)
+// TryRead performs Read when addr's word is present and reports whether it
+// was. When it is absent, TryRead changes nothing and the caller's Read
+// handles the miss. A hit needs no Result, so callers that mostly hit
+// skip building one.
+func (c *Cache) TryRead(addr uint64) bool {
+	_, line := c.lookup(addr >> c.blockShift)
+	if line < 0 || !c.wordValid(line, addr) {
+		return false
+	}
+	c.touch(line)
+	return true
+}
+
+// TryWrite is TryRead for stores: it performs Write when addr's word is
+// present and reports whether it was, changing nothing otherwise.
+func (c *Cache) TryWrite(addr uint64) bool {
+	_, line := c.lookup(addr >> c.blockShift)
+	if line < 0 || !c.wordValid(line, addr) {
+		return false
+	}
+	c.touch(line)
+	c.markDirty(line, addr)
+	return true
+}
+
+// markDirty records a store to addr's word in the line: under write-back
+// the line and the word turn dirty; write-through caches hold no dirty
+// state.
+func (c *Cache) markDirty(line int, addr uint64) {
+	if c.cfg.WritePolicy == WriteBack {
+		c.dirty[line] = true
+		off := int(addr & uint64(c.cfg.BlockWords-1))
+		c.masks[line*c.maskWords+off/64] |= 1 << uint(off%64)
+	}
 }
 
 // Contains reports whether addr's block is present, without touching

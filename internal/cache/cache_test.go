@@ -375,3 +375,86 @@ func TestLRUTicksOnlyWhereRead(t *testing.T) {
 		}
 	}
 }
+
+// TestTryAccessMatchesAccess: TryRead and TryWrite followed, on a false
+// return, by Read and Write leave a cache in exactly the state plain Read
+// and Write do, and report a hit exactly when Read and Write would.
+func TestTryAccessMatchesAccess(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 22))
+	for _, cfg := range []Config{
+		base(256, 4, 1),
+		base(256, 4, 2),
+		{SizeWords: 512, BlockWords: 8, Assoc: 4, Replacement: Random, WriteAllocate: true, Seed: 3},
+		{SizeWords: 256, BlockWords: 4, Assoc: 2, Replacement: FIFO, WritePolicy: WriteThrough},
+		{SizeWords: 512, BlockWords: 16, FetchWords: 4, Assoc: 2, Replacement: LRU, Seed: 5},
+		{SizeWords: 512, BlockWords: 16, FetchWords: 4, Assoc: 1, WriteAllocate: true},
+	} {
+		plain, tried := mustCache(t, cfg), mustCache(t, cfg)
+		for i := 0; i < 20000; i++ {
+			addr := uint64(rng.IntN(4096))
+			var want Result
+			var hit bool
+			if rng.IntN(3) == 0 {
+				want = plain.Write(addr)
+				if hit = tried.TryWrite(addr); !hit {
+					if tried.Write(addr).Hit {
+						t.Fatalf("%v: Write hit after TryWrite missed", cfg)
+					}
+				}
+			} else {
+				want = plain.Read(addr)
+				if hit = tried.TryRead(addr); !hit {
+					if tried.Read(addr).Hit {
+						t.Fatalf("%v: Read hit after TryRead missed", cfg)
+					}
+				}
+			}
+			if hit != want.Hit {
+				t.Fatalf("%v: access %d: try reported hit %v, plain %v", cfg, i, hit, want.Hit)
+			}
+		}
+		for s := 0; s < cfg.Sets(); s++ {
+			a, b := plain.SetState(s), tried.SetState(s)
+			for w := range a {
+				if a[w] != b[w] {
+					t.Fatalf("%v: set %d way %d: %+v vs %+v", cfg, s, w, a[w], b[w])
+				}
+			}
+		}
+		if plain.DirtyLines() != tried.DirtyLines() || plain.tick != tried.tick {
+			t.Fatalf("%v: dirty lines or LRU ticks differ", cfg)
+		}
+		for i := range plain.masks {
+			if plain.masks[i] != tried.masks[i] {
+				t.Fatalf("%v: dirty word masks differ", cfg)
+			}
+		}
+	}
+}
+
+// TestReplacementStateOnlyWhereUsed: FIFO pointers and the random stream
+// exist only where the policy picks among several ways, like LRU ticks; a
+// direct-mapped cache of any policy carries none of them.
+func TestReplacementStateOnlyWhereUsed(t *testing.T) {
+	for _, c := range []struct {
+		repl       Replacement
+		assoc      int
+		fifo, rand bool
+	}{
+		{FIFO, 2, true, false}, {FIFO, 1, false, false},
+		{Random, 4, false, true}, {Random, 1, false, false}, {LRU, 2, false, false},
+	} {
+		cc := mustCache(t, Config{SizeWords: 256, BlockWords: 4, Assoc: c.assoc, Replacement: c.repl, Seed: 1})
+		if got := cc.fifo != nil; got != c.fifo {
+			t.Errorf("%v %d-way: FIFO pointers present = %v, want %v", c.repl, c.assoc, got, c.fifo)
+		}
+		if got := cc.rng != nil; got != c.rand {
+			t.Errorf("%v %d-way: random stream present = %v, want %v", c.repl, c.assoc, got, c.rand)
+		}
+		for a := uint64(0); a < 4096; a += 4 {
+			cc.Read(a)
+			cc.Write(a + 1)
+		}
+		cc.Reset()
+	}
+}

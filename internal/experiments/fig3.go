@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/analysis"
+	"repro/internal/engine"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/system"
@@ -47,9 +48,13 @@ func (s *Suite) RunFigure31(ctx context.Context, sizesKB []int) (*Figure31, erro
 		sizesKB = TotalSizesKB
 	}
 	var cells []runner.Cell[cellOut]
+	var orgs []engine.Org
 	for _, kb := range sizesKB {
-		cells = s.counterCellsFor(cells, orgFor(kb, 4, 1))
+		org := orgFor(kb, 4, 1)
+		orgs = append(orgs, org)
+		cells = s.counterCellsFor(cells, org)
 	}
+	s.registerChain(orgs)
 	outs, err := s.runCells(ctx, cells)
 	if err != nil {
 		return nil, err
@@ -91,11 +96,16 @@ func (s *Suite) SpeedSizeGrid(ctx context.Context, sizesKB, cycleNs []int, assoc
 		cycleNs = CycleTimesNs
 	}
 	var cells []runner.Cell[cellOut]
+	var orgs []engine.Org
 	for _, kb := range sizesKB {
 		org := orgFor(kb, 4, assoc)
+		orgs = append(orgs, org)
 		for _, cy := range cycleNs {
 			cells = s.replayCellsFor(cells, org, baseTiming(cy))
 		}
+	}
+	if assoc == 1 {
+		s.registerChain(orgs)
 	}
 	outs, err := s.runCells(ctx, cells)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/engine"
 	"repro/internal/runner"
 )
 
@@ -31,8 +32,14 @@ func (s *Suite) RunFigure41(ctx context.Context, sizesKB, setSizes []int) (*Figu
 	}
 	var cells []runner.Cell[cellOut]
 	for _, assoc := range setSizes {
+		var orgs []engine.Org
 		for _, kb := range sizesKB {
-			cells = s.counterCellsFor(cells, orgFor(kb, 4, assoc))
+			org := orgFor(kb, 4, assoc)
+			orgs = append(orgs, org)
+			cells = s.counterCellsFor(cells, org)
+		}
+		if assoc == 1 {
+			s.registerChain(orgs)
 		}
 	}
 	outs, err := s.runCells(ctx, cells)

@@ -3,9 +3,12 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cache"
 	"repro/internal/check"
 	"repro/internal/engine"
@@ -15,6 +18,8 @@ import (
 	"repro/internal/simtrace"
 	"repro/internal/stats"
 	"repro/internal/system"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // shareOrgs are the organizations the replay-sharing tests sweep: both
@@ -178,5 +183,77 @@ func TestPanicInSlotBecomesError(t *testing.T) {
 		if !errors.As(err, &rerr) {
 			t.Errorf("slot panic %v does not carry the runtime error it caught", err)
 		}
+	}
+}
+
+// eightTraces are eight small synthetic traces standing in for Table 1.
+func eightTraces() []*trace.Trace {
+	var out []*trace.Trace
+	for k := 0; k < 8; k++ {
+		t := workload.Random(1500, 2048<<k, 0.15+0.05*float64(k%3), uint64(k)+1)
+		t.Name = fmt.Sprintf("rnd-%d", k)
+		t.WarmStart = 300
+		out = append(out, t)
+	}
+	return out
+}
+
+// TestChainPassCounters: a cold Fig 3-2 over eight traces builds its 88
+// direct-mapped profiles in eight behavioural passes, one per trace, and
+// an armed selfcheck suite in 88, one per profile. Both grids are equal.
+func TestChainPassCounters(t *testing.T) {
+	cases := []struct {
+		name             string
+		exec             ExecOptions
+		passes, profiles int64
+	}{
+		{"plain", ExecOptions{}, 8, 88},
+		{"selfcheck", ExecOptions{SelfCheck: &check.Options{Every: 4096}}, 88, 88},
+	}
+	var grids []*analysis.PerfGrid
+	for _, c := range cases {
+		s := NewSuiteWithTraces(eightTraces())
+		reg := obs.NewRegistry()
+		c.exec.Workers, c.exec.Metrics = 2, reg
+		s.SetExec(c.exec)
+		g, err := s.SpeedSizeGrid(context.Background(), nil, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids = append(grids, g)
+		if got := reg.Counter(obs.MCellsPlanned).Value(); got != 1408 {
+			t.Errorf("%s: %d cells, want 1408", c.name, got)
+		}
+		if got := reg.Counter(obs.MProfilePasses).Value(); got != c.passes {
+			t.Errorf("%s: profile_passes = %d, want %d", c.name, got, c.passes)
+		}
+		if got := reg.Counter(obs.MProfilesBuilt).Value(); got != c.profiles {
+			t.Errorf("%s: profiles_built = %d, want %d", c.name, got, c.profiles)
+		}
+	}
+	if !reflect.DeepEqual(grids[0], grids[1]) {
+		t.Error("the chain-pass grid differs from the one-profile-per-pass grid")
+	}
+}
+
+// TestChainPassFigures: Fig 4-1 builds its direct-mapped column in one
+// pass per trace and each set-associative profile in a pass of its own;
+// Fig 3-1 over the same sizes then reuses the direct-mapped profiles.
+func TestChainPassFigures(t *testing.T) {
+	s := NewSuiteWithTraces(eightTraces())
+	reg := obs.NewRegistry()
+	s.SetExec(ExecOptions{Workers: 2, Metrics: reg})
+	sizes := []int{8, 16, 32}
+	if _, err := s.RunFigure41(context.Background(), sizes, []int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunFigure31(context.Background(), sizes); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.Counter(obs.MProfilePasses).Value(), int64(8+3*8); got != want {
+		t.Errorf("profile_passes = %d, want %d", got, want)
+	}
+	if got, want := reg.Counter(obs.MProfilesBuilt).Value(), int64(2*3*8); got != want {
+		t.Errorf("profiles_built = %d, want %d", got, want)
 	}
 }

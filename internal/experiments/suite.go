@@ -8,7 +8,8 @@
 // cached per (organization × trace), so the cycle-time sweeps of Figures
 // 3-2 through 4-5 reuse the expensive behavioural pass through the cheap
 // timing replay — the same two-phase strategy the paper's simulation farm
-// used.
+// used. A size sweep's direct-mapped organizations go further and share
+// one behavioural pass per trace (engine.BuildProfiles).
 package experiments
 
 import (
@@ -64,6 +65,9 @@ type Suite struct {
 
 	mu       sync.Mutex
 	profiles map[profileKey]*profileEntry
+	// chains maps each organization a sweep registered with
+	// registerChain to the chain one behavioural pass builds it with.
+	chains map[orgKey]*chainSet
 
 	fpOnce sync.Once
 	fps    []string // per-trace checkpoint fingerprints
@@ -138,7 +142,12 @@ func singleFlight(once *sync.Once, errp *error, fn func() error) {
 }
 
 type profileKey struct {
-	traceIdx   int
+	traceIdx int
+	org      orgKey
+}
+
+// orgKey identifies an organization's behaviour in the profile cache.
+type orgKey struct {
 	sizeWords  int
 	blockWords int
 	fetchWords int
@@ -146,6 +155,31 @@ type profileKey struct {
 	policy     cache.WritePolicy
 	alloc      bool
 	unified    bool
+}
+
+func keyOf(org engine.Org) orgKey {
+	return orgKey{
+		sizeWords:  org.DCache.SizeWords,
+		blockWords: org.DCache.BlockWords,
+		fetchWords: org.DCache.FetchWords,
+		assoc:      org.DCache.Assoc,
+		policy:     org.DCache.WritePolicy,
+		alloc:      org.DCache.WriteAllocate,
+		unified:    org.Unified,
+	}
+}
+
+// chainSet is a registered set of organizations whose profiles one
+// behavioural pass per trace builds together (engine.BuildProfiles).
+type chainSet struct {
+	orgs   []engine.Org
+	passes []chainPass // one single-flight slot per trace
+}
+
+type chainPass struct {
+	once     sync.Once
+	profiles []*engine.Profile // in chainSet.orgs order
+	err      error
 }
 
 // NewSuite generates the eight Table 1 workloads at the given scale
@@ -217,24 +251,23 @@ func orgFor(totalKB, blockWords, assoc int) engine.Org {
 // ExecOptions.Explain is set), so the report exists exactly once per
 // (organization × trace) however many replay cells share the profile.
 func (s *Suite) profileEntry(i int, org engine.Org) *profileEntry {
-	key := profileKey{
-		traceIdx:   i,
-		sizeWords:  org.DCache.SizeWords,
-		blockWords: org.DCache.BlockWords,
-		fetchWords: org.DCache.FetchWords,
-		assoc:      org.DCache.Assoc,
-		policy:     org.DCache.WritePolicy,
-		alloc:      org.DCache.WriteAllocate,
-		unified:    org.Unified,
-	}
+	key := profileKey{traceIdx: i, org: keyOf(org)}
 	s.mu.Lock()
 	e, ok := s.profiles[key]
 	if !ok {
 		e = &profileEntry{}
 		s.profiles[key] = e
 	}
+	cs := s.chains[key.org]
 	s.mu.Unlock()
 	singleFlight(&e.once, &e.err, func() error {
+		// The selfcheck oracle and the explain recorder must observe every
+		// access of every cache, so they keep one organization per pass.
+		if cs != nil && s.exec.SelfCheck == nil && s.exec.Explain == nil {
+			p, err := s.chainProfile(cs, i, key.org)
+			e.p = p
+			return err
+		}
 		var rec *explain.Recorder
 		if s.exec.Explain != nil {
 			rec = explain.New(*s.exec.Explain)
@@ -244,6 +277,7 @@ func (s *Suite) profileEntry(i int, org engine.Org) *profileEntry {
 			return fmt.Errorf("experiments: profiling %s against %s: %w",
 				org.DCache.String(), s.Traces[i].Name, err)
 		}
+		s.countPass(1)
 		e.p = p
 		if rec.On() {
 			e.exp = rec.ReportWarm()
@@ -252,6 +286,54 @@ func (s *Suite) profileEntry(i int, org engine.Org) *profileEntry {
 		return nil
 	})
 	return e
+}
+
+// registerChain declares that a sweep's cells will need the profiles of
+// these organizations, which form one inclusion chain: direct-mapped,
+// whole-block caches that differ only in size. The first cell that needs
+// any of them on a trace then builds them all in one pass.
+func (s *Suite) registerChain(orgs []engine.Org) {
+	cs := &chainSet{orgs: orgs, passes: make([]chainPass, len(s.Traces))}
+	s.mu.Lock()
+	if s.chains == nil {
+		s.chains = make(map[orgKey]*chainSet)
+	}
+	for _, org := range orgs {
+		s.chains[keyOf(org)] = cs
+	}
+	s.mu.Unlock()
+}
+
+// chainProfile returns the profile of the organization keyed k from the
+// chain's pass over trace i, running the pass on first use.
+func (s *Suite) chainProfile(cs *chainSet, i int, k orgKey) (*engine.Profile, error) {
+	ps := &cs.passes[i]
+	singleFlight(&ps.once, &ps.err, func() (err error) {
+		ps.profiles, err = engine.BuildProfiles(cs.orgs, s.Traces[i])
+		if err != nil {
+			return fmt.Errorf("experiments: profiling a %d-organization chain against %s: %w",
+				len(cs.orgs), s.Traces[i].Name, err)
+		}
+		s.countPass(len(cs.orgs))
+		return nil
+	})
+	if ps.err != nil {
+		return nil, ps.err
+	}
+	for n, org := range cs.orgs {
+		if keyOf(org) == k {
+			return ps.profiles[n], nil
+		}
+	}
+	panic("experiments: organization missing from its chain")
+}
+
+// countPass records one behavioural pass that built n profiles.
+func (s *Suite) countPass(n int) {
+	if s.exec.Metrics != nil {
+		s.exec.Metrics.Counter(obs.MProfilePasses).Add(1)
+		s.exec.Metrics.Counter(obs.MProfilesBuilt).Add(int64(n))
+	}
 }
 
 // replay runs the timing phase of a built profile slot at tm for one cell.

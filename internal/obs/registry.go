@@ -66,6 +66,12 @@ const (
 	// experiments.Suite). Instrumented cells always run their own.
 	MReplaysRun    = "replays_run"
 	MReplaysShared = "replays_shared"
+	// MProfilePasses counts the behavioural passes a suite ran, and
+	// MProfilesBuilt the profiles they built: a pass over an inclusion
+	// chain builds every organization of the chain (see
+	// engine.BuildProfiles), any other pass one.
+	MProfilePasses = "profile_passes"
+	MProfilesBuilt = "profiles_built"
 )
 
 // Counter is a monotonically increasing metric, safe for concurrent use.

@@ -331,6 +331,10 @@ type Job struct {
 	rootSpan telemetry.SpanRef // http.request, ended by the HTTP handler
 	jobSpan  telemetry.SpanRef // submit → terminal, ended by finishJob
 
+	// accepted is the status at submission, taken before the job was
+	// queued; it does not change afterwards.
+	accepted JobStatus
+
 	mu       sync.Mutex
 	status   JobStatus
 	events   []Event
@@ -413,6 +417,10 @@ func (j *Job) Status() JobStatus {
 	defer j.mu.Unlock()
 	return j.status
 }
+
+// AcceptedStatus returns the status the job had when it was accepted,
+// before any worker could start it: the body of a 202 response.
+func (j *Job) AcceptedStatus() JobStatus { return j.accepted }
 
 // Results returns the job's cell results (nil until done).
 func (j *Job) Results() []CellResult {

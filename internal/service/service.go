@@ -535,6 +535,9 @@ func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) 
 	}
 	s.jobs[id] = job
 	s.order = append(s.order, id)
+	// The accepted snapshot is taken before a worker can pick the job up,
+	// so the 202 response always reports it queued.
+	job.accepted = job.Status()
 	s.queue <- job // cannot block: depth checked under s.mu
 	s.reg.Counter(MJobsSubmitted).Add(1)
 	s.reg.Gauge(MQueueDepth).Add(1)
@@ -772,11 +775,13 @@ func (s *Service) finishJob(job *Job, results []runner.Result[CellResult], cause
 		// polls the job to done and then scrapes /metrics must see the
 		// counter already bumped.
 		s.reg.Counter(MJobsDone).Add(1)
-		job.setState(StateDone, "", "")
+		// Journal before the terminal state becomes visible, so a client
+		// that sees it and then replays the journal finds it there too.
 		if err := s.journal.Done(job.id); err != nil {
 			s.log.Warn("journal done entry failed", "job", job.id, "err", err)
 			s.parkUnjournaled(journalEntry{T: "done", Job: job.id})
 		}
+		job.setState(StateDone, "", "")
 		s.appendLedger(job, results)
 		s.endTrace(job, StateDone, "", "")
 		s.log.Info("job done", "job", job.id, "cells", len(results))
@@ -789,11 +794,11 @@ func (s *Service) finishJob(job *Job, results []runner.Result[CellResult], cause
 		return
 	case errors.Is(cause, ErrClientCanceled):
 		s.reg.Counter(MJobsCanceled).Add(1)
-		job.setState(StateCanceled, "", causeName(cause))
 		if err := s.journal.Cancel(job.id); err != nil {
 			s.log.Warn("journal cancel entry failed", "job", job.id, "err", err)
 			s.parkUnjournaled(journalEntry{T: "cancel", Job: job.id})
 		}
+		job.setState(StateCanceled, "", causeName(cause))
 		s.endTrace(job, StateCanceled, "", causeName(cause))
 		return
 	default:
@@ -802,11 +807,11 @@ func (s *Service) finishJob(job *Job, results []runner.Result[CellResult], cause
 			msg = sweepErr.Error()
 		}
 		s.reg.Counter(MJobsFailed).Add(1)
-		job.setState(StateFailed, msg, causeName(cause))
 		if err := s.journal.Fail(job.id, msg, causeName(cause)); err != nil {
 			s.log.Warn("journal fail entry failed", "job", job.id, "err", err)
 			s.parkUnjournaled(journalEntry{T: "fail", Job: job.id, Err: msg, Cause: causeName(cause)})
 		}
+		job.setState(StateFailed, msg, causeName(cause))
 		s.endTrace(job, StateFailed, msg, causeName(cause))
 		s.log.Warn("job failed", "job", job.id, "err", msg, "cause", causeName(cause))
 	}

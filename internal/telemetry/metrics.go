@@ -108,6 +108,8 @@ var Defs = []MetricDef{
 	{obs.MSimRefs, "counter", "Simulated references (warm window) across cells."},
 	{obs.MReplaysRun, "counter", "Timing replays run by sweep cells."},
 	{obs.MReplaysShared, "counter", "Replay cells served by another cell's replay of the same quantized timing."},
+	{obs.MProfilePasses, "counter", "Behavioural passes run by sweep cells."},
+	{obs.MProfilesBuilt, "counter", "Behavioural profiles those passes built (a chain pass builds several)."},
 	{obs.MCellLatency, "timing", "Per-cell wall-clock latency."},
 	// Service job lifecycle (internal/service).
 	{MJobsSubmitted, "counter", "Accepted (journaled) job submissions."},
