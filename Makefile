@@ -5,8 +5,8 @@
 #   vet          — static analysis
 #   test         — full unit-test suite
 #   race         — race-detector pass over the concurrent packages (the
-#                  sweep runner, the experiment suite, the observability
-#                  layer and the CLIs that drive them)
+#                  sweep runner, the experiment suite and the explorer over
+#                  it, the observability layer and the CLIs that drive them)
 #   fuzz         — fuzz seed corpora in regression mode (no new input
 #                  generation; just replays the checked-in seeds)
 #   selfcheck    — the differential-oracle pass: every simulator run in the
@@ -71,7 +71,7 @@ test:
 	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race ./internal/runner/ ./internal/experiments/ ./internal/obs/ ./internal/service/ ./cmd/...
+	$(GO) test -race ./internal/runner/ ./internal/experiments/ ./internal/core/ ./internal/obs/ ./internal/service/ ./cmd/...
 
 # Go runs fuzz seed corpora as ordinary tests when -fuzz is absent; this
 # target exists so the gate states the intent explicitly.

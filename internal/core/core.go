@@ -10,15 +10,20 @@
 // aggregated as in the paper, and the comparison helpers interpolate
 // between evaluations exactly as the paper interpolates between simulation
 // grid points.
+//
+// The package is a thin layer over experiments.Suite, which owns the
+// two-phase evaluation: one behavioural profile per organization and
+// trace, built once, and timing replays shared across cycle times that
+// quantize alike.
 package core
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/analysis"
-	"repro/internal/cache"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -70,16 +75,7 @@ func (p DesignPoint) org() (engine.Org, error) {
 	if p.TotalKB <= 0 {
 		return engine.Org{}, fmt.Errorf("core: non-positive total size %d KB", p.TotalKB)
 	}
-	perCacheWords := p.TotalKB * 1024 / 4 / 2
-	cfg := cache.Config{
-		SizeWords:   perCacheWords,
-		BlockWords:  p.BlockWords,
-		Assoc:       p.Assoc,
-		Replacement: cache.Random,
-		WritePolicy: cache.WriteBack,
-		Seed:        1988,
-	}
-	org := engine.Org{ICache: cfg, DCache: cfg}
+	org := experiments.OrgFor(p.TotalKB, p.BlockWords, p.Assoc)
 	return org, org.Validate()
 }
 
@@ -98,18 +94,12 @@ type Evaluation struct {
 	MissPenaltyCycles int
 }
 
-// Explorer evaluates design points against a fixed workload set. Profiles
-// are cached per organization, so cycle-time and memory sweeps over the
-// same organization are cheap. Safe for concurrent use.
+// Explorer evaluates design points against a fixed workload set through
+// an experiments.Suite, so cycle-time and memory sweeps over the same
+// organization are cheap. Safe for concurrent use: concurrent evaluations
+// needing the same profile or replay compute it once.
 type Explorer struct {
-	traces []*trace.Trace
-
-	mu       sync.Mutex
-	profiles map[orgKey][]*engine.Profile
-}
-
-type orgKey struct {
-	totalKB, blockWords, assoc int
+	suite *experiments.Suite
 }
 
 // NewExplorer builds an explorer over the given traces (at least one).
@@ -122,41 +112,16 @@ func NewExplorer(traces []*trace.Trace) (*Explorer, error) {
 			return nil, err
 		}
 	}
-	return &Explorer{traces: traces, profiles: make(map[orgKey][]*engine.Profile)}, nil
+	return &Explorer{suite: experiments.NewSuiteWithTraces(traces)}, nil
 }
 
 // Traces returns the workload set.
-func (e *Explorer) Traces() []*trace.Trace { return e.traces }
-
-func (e *Explorer) profilesFor(p DesignPoint) ([]*engine.Profile, error) {
-	key := orgKey{p.TotalKB, p.BlockWords, p.Assoc}
-	e.mu.Lock()
-	ps, ok := e.profiles[key]
-	e.mu.Unlock()
-	if ok {
-		return ps, nil
-	}
-	org, err := p.org()
-	if err != nil {
-		return nil, err
-	}
-	ps = make([]*engine.Profile, len(e.traces))
-	for i, t := range e.traces {
-		ps[i], err = engine.BuildProfile(org, t)
-		if err != nil {
-			return nil, err
-		}
-	}
-	e.mu.Lock()
-	e.profiles[key] = ps
-	e.mu.Unlock()
-	return ps, nil
-}
+func (e *Explorer) Traces() []*trace.Trace { return e.suite.Traces }
 
 // Evaluate runs the design point over every trace and aggregates.
 func (e *Explorer) Evaluate(point DesignPoint) (Evaluation, error) {
 	p := point.normalize()
-	ps, err := e.profilesFor(p)
+	org, err := p.org()
 	if err != nil {
 		return Evaluation{}, err
 	}
@@ -165,11 +130,13 @@ func (e *Explorer) Evaluate(point DesignPoint) (Evaluation, error) {
 		depth = 0
 	}
 	tm := engine.Timing{CycleNs: p.CycleNs, Mem: p.Mem, WriteBufDepth: depth}
-	execs := make([]float64, len(ps))
-	cprs := make([]float64, len(ps))
-	miss := make([]float64, len(ps))
-	for i, prof := range ps {
-		res, err := prof.Replay(tm)
+	n := len(e.suite.Traces)
+	execs := make([]float64, n)
+	cprs := make([]float64, n)
+	miss := make([]float64, n)
+	for i := range execs {
+		// Evaluate takes no context, so an evaluation runs to completion.
+		res, err := e.suite.Result(context.TODO(), i, org, tm, nil)
 		if err != nil {
 			return Evaluation{}, err
 		}
@@ -212,13 +179,10 @@ func (e *Explorer) Speedup(a, b DesignPoint) (float64, error) {
 	return eb.ExecNs / ea.ExecNs, nil
 }
 
-// defaultCycleGrid is the interpolation support for the equal-performance
-// helpers, the paper's 20–80 ns sweep.
-var defaultCycleGrid = []int{20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60, 64, 68, 72, 76, 80}
-
-// execVsCycle evaluates the point across the cycle grid.
+// execVsCycle evaluates the point across the paper's 20–80 ns cycle-time
+// sweep, the interpolation support of the equal-performance helpers.
 func (e *Explorer) execVsCycle(p DesignPoint) (xs, ys []float64, err error) {
-	for _, cy := range defaultCycleGrid {
+	for _, cy := range experiments.CycleTimesNs {
 		q := p
 		q.CycleNs = cy
 		ev, err := e.Evaluate(q)

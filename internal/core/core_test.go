@@ -1,9 +1,12 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -187,20 +190,66 @@ func TestSlowerMemoryRaisesOptimalBlock(t *testing.T) {
 	}
 }
 
+// meteredExplorer returns a fresh explorer over the shared test traces
+// whose suite counts its behavioural passes in the returned registry.
+func meteredExplorer(t *testing.T) (*Explorer, *obs.Registry) {
+	t.Helper()
+	e, err := NewExplorer(testExplorer(t).Traces())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	e.suite.SetExec(experiments.ExecOptions{Metrics: reg})
+	return e, reg
+}
+
 func TestProfileCacheReuse(t *testing.T) {
-	e := testExplorer(t)
+	e, reg := meteredExplorer(t)
 	if _, err := e.Evaluate(DesignPoint{TotalKB: 32}); err != nil {
 		t.Fatal(err)
 	}
-	n := len(e.profiles)
+	n := reg.Counter(obs.MProfilePasses).Value()
+	if n != 4 {
+		t.Fatalf("profile_passes = %d, want one per trace", n)
+	}
 	// A different cycle time must reuse the cached profiles.
 	if _, err := e.Evaluate(DesignPoint{TotalKB: 32, CycleNs: 60}); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.profiles) != n {
+	if reg.Counter(obs.MProfilePasses).Value() != n {
 		t.Fatal("cycle-time change rebuilt profiles")
 	}
 	if len(e.Traces()) != 4 {
 		t.Fatal("traces accessor wrong")
+	}
+}
+
+// TestConcurrentEvaluateBuildsOnce: goroutines evaluating one new point at
+// once build its profiles once per trace and agree on the answer. Run with
+// -race to check the sharing.
+func TestConcurrentEvaluateBuildsOnce(t *testing.T) {
+	e, reg := meteredExplorer(t)
+	const workers = 8
+	evs := make([]Evaluation, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			evs[w], errs[w] = e.Evaluate(DesignPoint{TotalKB: 16, Assoc: 2})
+		}(w)
+	}
+	wg.Wait()
+	for w := range evs {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		if evs[w] != evs[0] {
+			t.Errorf("goroutine %d: %+v, want %+v", w, evs[w], evs[0])
+		}
+	}
+	if got, want := reg.Counter(obs.MProfilePasses).Value(), int64(len(e.Traces())); got != want {
+		t.Errorf("profile_passes = %d, want %d (one per trace)", got, want)
 	}
 }

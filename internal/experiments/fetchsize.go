@@ -54,7 +54,7 @@ func (s *Suite) RunFetchSize(ctx context.Context, totalKB, blockWords int, fetch
 	out := &FetchSizeStudy{TotalKB: totalKB, BlockWords: blockWords, CycleNs: cycleNs, FetchWords: fetches}
 	var cells []runner.Cell[cellOut]
 	for _, fw := range fetches {
-		org := orgFor(totalKB, blockWords, 1)
+		org := OrgFor(totalKB, blockWords, 1)
 		org.ICache.FetchWords = fw
 		org.DCache.FetchWords = fw
 		cells = s.counterCellsFor(cells, org)

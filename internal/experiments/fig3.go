@@ -50,7 +50,7 @@ func (s *Suite) RunFigure31(ctx context.Context, sizesKB []int) (*Figure31, erro
 	var cells []runner.Cell[cellOut]
 	var orgs []engine.Org
 	for _, kb := range sizesKB {
-		org := orgFor(kb, 4, 1)
+		org := OrgFor(kb, 4, 1)
 		orgs = append(orgs, org)
 		cells = s.counterCellsFor(cells, org)
 	}
@@ -98,7 +98,7 @@ func (s *Suite) SpeedSizeGrid(ctx context.Context, sizesKB, cycleNs []int, assoc
 	var cells []runner.Cell[cellOut]
 	var orgs []engine.Org
 	for _, kb := range sizesKB {
-		org := orgFor(kb, 4, assoc)
+		org := OrgFor(kb, 4, assoc)
 		orgs = append(orgs, org)
 		for _, cy := range cycleNs {
 			cells = s.replayCellsFor(cells, org, baseTiming(cy))

@@ -34,7 +34,7 @@ func (s *Suite) RunFigure41(ctx context.Context, sizesKB, setSizes []int) (*Figu
 	for _, assoc := range setSizes {
 		var orgs []engine.Org
 		for _, kb := range sizesKB {
-			org := orgFor(kb, 4, assoc)
+			org := OrgFor(kb, 4, assoc)
 			orgs = append(orgs, org)
 			cells = s.counterCellsFor(cells, org)
 		}

@@ -52,7 +52,7 @@ func (s *Suite) RunFigure51(ctx context.Context, totalKB int, blockWords []int, 
 	}
 	var cells []runner.Cell[cellOut]
 	for _, bs := range blockWords {
-		org := orgFor(totalKB, bs, 1)
+		org := OrgFor(totalKB, bs, 1)
 		cells = s.counterCellsFor(cells, org)
 		cells = s.replayCellsFor(cells, org, tm)
 	}
@@ -163,7 +163,7 @@ func (s *Suite) RunFigure52(ctx context.Context, totalKB int, blockWords, latenc
 			pt.Product = analysis.MemorySpeedProduct(float64(pt.LatencyCycles), rate.WordsPerCycle())
 			out.Points = append(out.Points, pt)
 			for _, bs := range blockWords {
-				cells = s.replayCellsFor(cells, orgFor(totalKB, bs, 1), engine.Timing{
+				cells = s.replayCellsFor(cells, OrgFor(totalKB, bs, 1), engine.Timing{
 					CycleNs:       cycleNs,
 					Mem:           cfg,
 					WriteBufDepth: 4,

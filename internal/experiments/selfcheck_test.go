@@ -95,7 +95,7 @@ func fig3Cells(s *Suite) []runner.Cell[cellOut] {
 	var cells []runner.Cell[cellOut]
 	for _, kb := range []int{8, 16} {
 		for _, cy := range []int{20, 40, 60} {
-			cells = s.replayCellsFor(cells, orgFor(kb, 4, 1), baseTiming(cy))
+			cells = s.replayCellsFor(cells, OrgFor(kb, 4, 1), baseTiming(cy))
 		}
 	}
 	return cells

@@ -26,10 +26,10 @@ import (
 // set sizes and a write-through, write-allocate variant, whose store
 // traffic goes through the write buffer.
 func shareOrgs() []engine.Org {
-	wt := orgFor(16, 4, 1)
+	wt := OrgFor(16, 4, 1)
 	wt.ICache.WritePolicy, wt.DCache.WritePolicy = cache.WriteThrough, cache.WriteThrough
 	wt.DCache.WriteAllocate = true
-	return []engine.Org{orgFor(8, 4, 1), orgFor(32, 8, 2), wt}
+	return []engine.Org{OrgFor(8, 4, 1), OrgFor(32, 8, 2), wt}
 }
 
 // shareMems are the memories the replay-sharing tests sweep: the paper's
@@ -91,7 +91,7 @@ func TestSharedSpeedSizeGridMatchesPerCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, kb := range sizes {
-		org := orgFor(kb, 4, 1)
+		org := OrgFor(kb, 4, 1)
 		for j, cy := range CycleTimesNs {
 			execs := make([]float64, len(s.Traces))
 			for n, tr := range s.Traces {
@@ -158,7 +158,7 @@ func TestReplaySharingCounters(t *testing.T) {
 // every later one — never a done slot with neither a value nor an error.
 func TestPanicInSlotBecomesError(t *testing.T) {
 	s := NewSuiteWithTraces(append(sweepTestTraces(), nil))
-	org := orgFor(8, 4, 1)
+	org := OrgFor(8, 4, 1)
 	for call := 0; call < 2; call++ {
 		e := s.profileEntry(2, org) // the nil trace panics the behavioural pass
 		var sp *slotPanic

@@ -36,7 +36,7 @@ func (s *Suite) RunSplitUnified(ctx context.Context, sizesKB []int, cycleNs int)
 	out := &SplitUnifiedStudy{TotalKB: sizesKB, CycleNs: cycleNs}
 	orgsFor := func(kb int) [2]engine.Org {
 		return [2]engine.Org{
-			orgFor(kb, 4, 1),
+			OrgFor(kb, 4, 1),
 			{DCache: l1Config(kb*1024/4, 4, 1), Unified: true},
 		}
 	}

@@ -67,7 +67,7 @@ type Suite struct {
 	profiles map[profileKey]*profileEntry
 	// chains maps each organization a sweep registered with
 	// registerChain to the chain one behavioural pass builds it with.
-	chains map[orgKey]*chainSet
+	chains map[engine.Org]*chainSet
 
 	fpOnce sync.Once
 	fps    []string // per-trace checkpoint fingerprints
@@ -143,30 +143,7 @@ func singleFlight(once *sync.Once, errp *error, fn func() error) {
 
 type profileKey struct {
 	traceIdx int
-	org      orgKey
-}
-
-// orgKey identifies an organization's behaviour in the profile cache.
-type orgKey struct {
-	sizeWords  int
-	blockWords int
-	fetchWords int
-	assoc      int
-	policy     cache.WritePolicy
-	alloc      bool
-	unified    bool
-}
-
-func keyOf(org engine.Org) orgKey {
-	return orgKey{
-		sizeWords:  org.DCache.SizeWords,
-		blockWords: org.DCache.BlockWords,
-		fetchWords: org.DCache.FetchWords,
-		assoc:      org.DCache.Assoc,
-		policy:     org.DCache.WritePolicy,
-		alloc:      org.DCache.WriteAllocate,
-		unified:    org.Unified,
-	}
+	org      engine.Org
 }
 
 // chainSet is a registered set of organizations whose profiles one
@@ -234,9 +211,9 @@ func l1Config(sizeWords, blockWords, assoc int) cache.Config {
 	}
 }
 
-// orgFor returns the split I/D organization with the given total size in
+// OrgFor returns the split I/D organization with the given total size in
 // KB, block size in words and set size.
-func orgFor(totalKB, blockWords, assoc int) engine.Org {
+func OrgFor(totalKB, blockWords, assoc int) engine.Org {
 	perCacheWords := totalKB * 1024 / 4 / 2
 	cfg := l1Config(perCacheWords, blockWords, assoc)
 	return engine.Org{ICache: cfg, DCache: cfg}
@@ -251,20 +228,20 @@ func orgFor(totalKB, blockWords, assoc int) engine.Org {
 // ExecOptions.Explain is set), so the report exists exactly once per
 // (organization × trace) however many replay cells share the profile.
 func (s *Suite) profileEntry(i int, org engine.Org) *profileEntry {
-	key := profileKey{traceIdx: i, org: keyOf(org)}
+	key := profileKey{traceIdx: i, org: org}
 	s.mu.Lock()
 	e, ok := s.profiles[key]
 	if !ok {
 		e = &profileEntry{}
 		s.profiles[key] = e
 	}
-	cs := s.chains[key.org]
+	cs := s.chains[org]
 	s.mu.Unlock()
 	singleFlight(&e.once, &e.err, func() error {
 		// The selfcheck oracle and the explain recorder must observe every
 		// access of every cache, so they keep one organization per pass.
 		if cs != nil && s.exec.SelfCheck == nil && s.exec.Explain == nil {
-			p, err := s.chainProfile(cs, i, key.org)
+			p, err := s.chainProfile(cs, i, org)
 			e.p = p
 			return err
 		}
@@ -296,17 +273,17 @@ func (s *Suite) registerChain(orgs []engine.Org) {
 	cs := &chainSet{orgs: orgs, passes: make([]chainPass, len(s.Traces))}
 	s.mu.Lock()
 	if s.chains == nil {
-		s.chains = make(map[orgKey]*chainSet)
+		s.chains = make(map[engine.Org]*chainSet)
 	}
 	for _, org := range orgs {
-		s.chains[keyOf(org)] = cs
+		s.chains[org] = cs
 	}
 	s.mu.Unlock()
 }
 
-// chainProfile returns the profile of the organization keyed k from the
-// chain's pass over trace i, running the pass on first use.
-func (s *Suite) chainProfile(cs *chainSet, i int, k orgKey) (*engine.Profile, error) {
+// chainProfile returns the profile of org from the chain's pass over trace
+// i, running the pass on first use.
+func (s *Suite) chainProfile(cs *chainSet, i int, org engine.Org) (*engine.Profile, error) {
 	ps := &cs.passes[i]
 	singleFlight(&ps.once, &ps.err, func() (err error) {
 		ps.profiles, err = engine.BuildProfiles(cs.orgs, s.Traces[i])
@@ -320,8 +297,8 @@ func (s *Suite) chainProfile(cs *chainSet, i int, k orgKey) (*engine.Profile, er
 	if ps.err != nil {
 		return nil, ps.err
 	}
-	for n, org := range cs.orgs {
-		if keyOf(org) == k {
+	for n, o := range cs.orgs {
+		if o == org {
 			return ps.profiles[n], nil
 		}
 	}

@@ -207,26 +207,33 @@ func (s *Suite) traceFingerprint(i int) string {
 	return s.fps[i]
 }
 
+// Result evaluates the organization at tm on trace i: the behavioural
+// profile from its single-flight slot, then the timing replay shared
+// across cycle times that quantize alike. A non-nil rec records the replay,
+// which then runs alone. ctx is consulted before each phase.
+func (s *Suite) Result(ctx context.Context, i int, org engine.Org, tm engine.Timing, rec *simtrace.Recorder) (system.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return system.Result{}, err
+	}
+	e := s.profileEntry(i, org)
+	if e.err != nil {
+		return system.Result{}, e.err
+	}
+	if err := ctx.Err(); err != nil {
+		return system.Result{}, err
+	}
+	return s.replay(e, tm, rec)
+}
+
 // replayCell builds the runner cell for one (organization × timing ×
-// trace) unit: behavioural profile (cached, single-flight) plus timing
-// replay (shared across cycle times that quantize alike). The result carries execution time, cycles per reference and the
-// warm-window counters.
+// trace) unit, computed by Result. The output carries execution time,
+// cycles per reference and the warm-window counters.
 func (s *Suite) replayCell(i int, org engine.Org, tm engine.Timing) runner.Cell[cellOut] {
 	return runner.Cell[cellOut]{
 		Key: runner.Key("replay/v1", s.traceFingerprint(i), s.Scale, org, tm),
 		Run: func(ctx context.Context) (cellOut, error) {
-			if err := ctx.Err(); err != nil {
-				return cellOut{}, err
-			}
-			e := s.profileEntry(i, org)
-			if e.err != nil {
-				return cellOut{}, e.err
-			}
-			if err := ctx.Err(); err != nil {
-				return cellOut{}, err
-			}
 			rec := s.cellRecorder()
-			res, err := s.replay(e, tm, rec)
+			res, err := s.Result(ctx, i, org, tm, rec)
 			if err != nil {
 				return cellOut{}, err
 			}

@@ -6,10 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
+	"repro/internal/engine"
 	"repro/internal/runner"
+	"repro/internal/system"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -133,7 +137,7 @@ func MustNewSuiteWithTracesForTest(t *testing.T) *Suite {
 // sweep completes and the error names the panic.
 func TestSweepPanicIsolation(t *testing.T) {
 	s := MustNewSuiteWithTracesForTest(t)
-	cells := s.replayCellsFor(nil, orgFor(8, 4, 1), baseTiming(40))
+	cells := s.replayCellsFor(nil, OrgFor(8, 4, 1), baseTiming(40))
 	good := len(cells)
 	cells = append(cells, runner.Cell[cellOut]{
 		Key: "poison",
@@ -160,7 +164,7 @@ func TestSweepCancellationBeforeStart(t *testing.T) {
 	s := MustNewSuiteWithTracesForTest(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := s.replayAll(ctx, orgFor(8, 4, 1), baseTiming(40))
+	_, _, err := s.replayAll(ctx, OrgFor(8, 4, 1), baseTiming(40))
 	var se *runner.SweepError
 	if !errors.As(err, &se) {
 		t.Fatalf("error = %v, want *runner.SweepError", err)
@@ -179,7 +183,7 @@ func TestSweepCancellationBeforeStart(t *testing.T) {
 func TestConcurrentProfileCacheSingleFlight(t *testing.T) {
 	s := MustNewSuiteWithTracesForTest(t)
 	s.SetExec(ExecOptions{Workers: 8})
-	org := orgFor(16, 4, 1)
+	org := OrgFor(16, 4, 1)
 	var cells []runner.Cell[cellOut]
 	for _, cy := range []int{20, 24, 28, 32, 36, 40, 44, 48} {
 		cells = s.replayCellsFor(cells, org, baseTiming(cy))
@@ -209,6 +213,34 @@ func TestConcurrentProfileCacheSingleFlight(t *testing.T) {
 		if o != outs[i] {
 			t.Errorf("trace %d: recomputed cell differs: %+v vs %+v", i, o, outs[i])
 		}
+	}
+}
+
+// TestProfileSlotPerOrg: organizations that differ only in replacement
+// policy get a profile slot each, and each slot holds that organization's
+// own profile.
+func TestProfileSlotPerOrg(t *testing.T) {
+	s := MustNewSuiteWithTracesForTest(t)
+	random := OrgFor(8, 4, 2)
+	lru := random
+	lru.ICache.Replacement, lru.DCache.Replacement = cache.LRU, cache.LRU
+	var warm []system.Counters
+	for _, org := range []engine.Org{random, lru} {
+		e := s.profileEntry(0, org)
+		if e.err != nil {
+			t.Fatal(e.err)
+		}
+		want, err := engine.BuildProfile(org, s.Traces[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(e.p, want) {
+			t.Errorf("%v: slot profile differs from its own BuildProfile", org.DCache.Replacement)
+		}
+		warm = append(warm, want.WarmCounters())
+	}
+	if warm[0] == warm[1] {
+		t.Error("random and LRU replacement behave alike on this trace; the test cannot tell their slots apart")
 	}
 }
 
