@@ -392,7 +392,7 @@ func BenchmarkSimtraceOverhead(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			cfg := ablationConfig(func(cfg *system.Config) { cfg.Trace = c.opts })
+			cfg := ablationConfig(func(cfg *system.Config) { cfg.Instruments.Trace = c.opts })
 			for i := 0; i < b.N; i++ {
 				if _, err := system.Simulate(cfg, tr); err != nil {
 					b.Fatal(err)
@@ -427,7 +427,7 @@ func BenchmarkExplainOverhead(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			cfg := ablationConfig(func(cfg *system.Config) { cfg.Explain = c.opts })
+			cfg := ablationConfig(func(cfg *system.Config) { cfg.Instruments.Explain = c.opts })
 			start := cpuTime(b)
 			for i := 0; i < b.N; i++ {
 				if _, err := system.Simulate(cfg, tr); err != nil {

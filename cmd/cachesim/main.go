@@ -165,11 +165,11 @@ func run() error {
 
 	cfg.CollectLatencies = *showHist
 	if *selfcheck {
-		cfg.SelfCheck = &check.Options{Every: *checkEvry}
+		cfg.Instruments.Check = &check.Options{Every: *checkEvry}
 		fmt.Println("selfcheck: differential oracle enabled; divergences abort the run")
 	}
 	if *attrib || *intervals > 0 || *eventsOut != "" {
-		cfg.Trace = &simtrace.Options{
+		cfg.Instruments.Trace = &simtrace.Options{
 			Attrib:       *attrib,
 			IntervalRefs: *intervals,
 			Events:       *eventsOut != "",
@@ -177,7 +177,7 @@ func run() error {
 	}
 	if *explainOn {
 		opts := explain.All()
-		cfg.Explain = &opts
+		cfg.Instruments.Explain = &opts
 	}
 
 	// Ctrl-C cancels the sweep; traces that already finished are still

@@ -183,7 +183,6 @@ func run() (err error) {
 
 		attrib    = flag.Bool("attrib", false, "arm cycle attribution in every freshly computed cell; the aggregate lands in the registry and run manifest")
 		explainOn = flag.Bool("explain", false, "arm 3C miss classification in every freshly computed cell; the aggregate lands in the registry and run manifest")
-		intervals = flag.Int("intervals", 0, "accepted for interface parity; sweep cells cannot emit interval series (use cachesim -intervals)")
 		eventsOut = flag.String("events", "", "write a representative cell's timeline as Chrome trace-event JSON to this file")
 
 		progress  = flag.Duration("progress", 0, "print sweep progress/ETA lines to stderr at this interval (0 = off)")
@@ -297,7 +296,7 @@ func run() (err error) {
 	}
 	exec := experiments.ExecOptions{Workers: *jobs, Retries: *retries, SweepTimeout: *timeout, Metrics: reg, Log: logger}
 	if *selfcheck {
-		exec.SelfCheck = &check.Options{Every: *checkEvry}
+		exec.Instruments.Check = &check.Options{Every: *checkEvry}
 		fmt.Println("selfcheck: differential oracle enabled; divergences fail their cells")
 	}
 	if *faultSpec != "" {
@@ -308,18 +307,15 @@ func run() (err error) {
 		exec.Faults = plan
 		fmt.Fprintf(os.Stderr, "fault injection armed: %s\n", *faultSpec)
 	}
-	if *intervals > 0 {
-		fmt.Fprintln(os.Stderr, "note: -intervals has no effect on sweep cells (hit runs are gap-compressed in replay); use cachesim -intervals for interval series")
-	}
 	if *attrib || *eventsOut != "" {
-		exec.Trace = &simtrace.Options{Attrib: *attrib, Events: *eventsOut != ""}
+		exec.Instruments.Trace = &simtrace.Options{Attrib: *attrib, Events: *eventsOut != ""}
 		if *attrib {
 			fmt.Println("attrib: cycle attribution armed in every freshly computed cell")
 		}
 	}
 	if *explainOn {
 		opts := explain.All()
-		exec.Explain = &opts
+		exec.Instruments.Explain = &opts
 		fmt.Println("explain: 3C miss classification armed in every freshly computed cell")
 	}
 	var cp *runner.Checkpoint

@@ -42,7 +42,7 @@ func TestEngineAttributionMatchesSystem(t *testing.T) {
 			}
 			for _, tm := range timings {
 				engRec := simtrace.New(opts)
-				if _, err := prof.ReplayTraced(tm, nil, engRec); err != nil {
+				if _, err := prof.ReplayObserved(tm, &system.Observers{Trace: engRec}); err != nil {
 					t.Fatalf("%s/%s: replay: %v", oc.name, tr.Name, err)
 				}
 				cfg := system.Config{
@@ -52,7 +52,7 @@ func TestEngineAttributionMatchesSystem(t *testing.T) {
 					Unified:       oc.org.Unified,
 					WriteBufDepth: tm.WriteBufDepth,
 					Mem:           tm.Mem,
-					Trace:         &opts,
+					Instruments:   system.Instruments{Trace: &opts},
 				}
 				sys, err := system.New(cfg)
 				if err != nil {
@@ -86,9 +86,9 @@ func TestEngineAttributionMatchesSystem(t *testing.T) {
 	}
 }
 
-// TestReplayTracedUnchanged: arming the recorder must not perturb the
+// TestReplayObservedUnchanged: arming the recorder must not perturb the
 // replayed results, and replaying with a nil recorder stays valid.
-func TestReplayTracedUnchanged(t *testing.T) {
+func TestReplayObservedUnchanged(t *testing.T) {
 	tr := workload.Random(5000, 8192, 0.3, 19)
 	tr.WarmStart = 2000
 	org := Org{ICache: l1(1024, 4, 1, cache.WriteBack, false), DCache: l1(1024, 4, 1, cache.WriteBack, false)}
@@ -102,7 +102,7 @@ func TestReplayTracedUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := simtrace.New(simtrace.Options{Attrib: true})
-	traced, err := prof.ReplayTraced(tm, nil, rec)
+	traced, err := prof.ReplayObserved(tm, &system.Observers{Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestReplayTracedUnchanged(t *testing.T) {
 	if a.Cycles != traced.Total.Cycles {
 		t.Fatalf("attribution covers %d cycles, replay counted %d", a.Cycles, traced.Total.Cycles)
 	}
-	if _, err := prof.ReplayTraced(tm, nil, nil); err != nil {
+	if _, err := prof.ReplayObserved(tm, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,12 +2,11 @@ package engine
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/internal/cache"
-	"repro/internal/check"
 	"repro/internal/explain"
+	"repro/internal/simtrace"
 	"repro/internal/system"
 	"repro/internal/trace"
 )
@@ -18,30 +17,22 @@ import (
 // a system.System built from the same configs observes the identical
 // hit/miss sequence.
 func BuildProfile(org Org, t *trace.Trace) (*Profile, error) {
-	return BuildProfileChecked(org, t, nil)
+	return BuildProfileObserved(org, t, nil)
 }
 
-// BuildProfileChecked is BuildProfile with the reference model attached:
-// when opts is non-nil, every cache access is diffed against the check
-// package's oracle and structural invariants run at the configured
-// interval. The first divergence aborts the build with a typed
-// *check.Divergence error; a nil opts is exactly BuildProfile.
-func BuildProfileChecked(org Org, t *trace.Trace, opts *check.Options) (*Profile, error) {
-	return BuildProfileExplained(org, t, opts, nil)
-}
-
-// BuildProfileExplained is BuildProfileChecked with the explainability
-// recorder attached: when exp is non-nil, every cache access also feeds
-// the recorder's shadow models (3C classification, reuse distances, set
-// pressure), and the build finishes by verifying 3C conservation against
-// the profile's own miss counters. The behavioural pass sees every
-// reference exactly once, so the recorder observes the same stream the
-// system simulator would. A nil exp is exactly BuildProfileChecked.
+// BuildProfileObserved is BuildProfile with the run's observers attached
+// to its caches (system.Observers.L1). The oracle diffs every access and
+// runs its invariants at the configured interval, with the first
+// divergence aborting the build as a typed *check.Divergence error. The
+// explain recorder's probes see every access, and the build finishes by
+// checking 3C conservation against the profile's own miss counters. A
+// simtrace recorder belongs to the timing replay and sees nothing here.
+// A nil obs is exactly BuildProfile.
 //
 // This is the single-organization case of BuildProfiles' pass: with one
-// organization there is no chain to shortcut, so the checker and the
-// recorder observe every access.
-func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *explain.Recorder) (*Profile, error) {
+// organization there is no chain to shortcut, so the observers see the
+// same stream of accesses the system simulator would.
+func BuildProfileObserved(org Org, t *trace.Trace, obs *system.Observers) (*Profile, error) {
 	if err := org.Validate(); err != nil {
 		return nil, err
 	}
@@ -52,62 +43,25 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 	if err != nil {
 		return nil, err
 	}
-	var chk *check.Checker
-	if opts != nil {
-		chk = check.New(opts)
-		chk.SetContext(fmt.Sprintf("trace=%s dcache=%v", t.Name, org.DCache))
-		label := "D"
-		if org.Unified {
-			label = "U"
-		}
-		dc, err := chk.Shadow(label, m.fastD)
+	if obs != nil {
+		obs.Name(t.Name, org.DCache, 0)
+		l1, err := obs.L1(m.fastD, m.fastI, org.Unified)
 		if err != nil {
 			return nil, err
 		}
-		ic := l1cache(dc)
-		if !org.Unified {
-			if ic, err = chk.Shadow("I", m.fastI); err != nil {
-				return nil, err
-			}
-		}
-		m.ic, m.dc = ic, dc
-	}
-	// exp.On() rather than a nil check: a recorder whose Options arm no
-	// instrument attaches no probes, so the disarmed build runs the same
-	// code path as a nil recorder.
-	if exp.On() {
-		label := "D"
-		if org.Unified {
-			label = "U"
-		}
-		if m.expD, err = exp.Probe(label, org.DCache); err != nil {
-			return nil, err
-		}
-		if org.Unified {
-			m.expI = m.expD
-		} else if m.expI, err = exp.Probe("I", org.ICache); err != nil {
-			return nil, err
-		}
-		if chk != nil {
-			chk.AddInvariant("explain-3c", exp.CheckConservation)
-		}
-	}
-	if chk != nil || exp.On() {
+		m.ic, m.dc, m.expI, m.expD = l1.I, l1.D, l1.IProbe, l1.DProbe
 		m.fastI, m.fastD = nil, nil // every access goes through the observers
 	}
 	one := []*member{m}
-	ps := pass{t: t, chains: []chain{{byI: one, byD: one}}, members: one, chk: chk, exp: exp}
+	ps := pass{t: t, chains: []chain{{byI: one, byD: one}}, members: one, obs: obs}
 	if err := ps.run(); err != nil {
 		return nil, err
 	}
-	if chk != nil {
+	if obs != nil {
 		tally := m.p.total.SelfCheckTally()
-		if err := chk.Finish(&tally); err != nil {
+		if err := obs.Finish(&tally, simtrace.Sample{}, m.p.total.IfetchMisses+m.p.total.LoadMisses+m.p.total.StoreMisses); err != nil {
 			return nil, err
 		}
-	}
-	if err := exp.Finish(m.p.total.IfetchMisses + m.p.total.LoadMisses + m.p.total.StoreMisses); err != nil {
-		return nil, err
 	}
 	return m.p, nil
 }
@@ -220,7 +174,7 @@ type chain struct {
 // member is one organization's state during a behavioural pass.
 type member struct {
 	p      *Profile
-	ic, dc l1cache // the caches, or their checked shadows
+	ic, dc system.L1Cache // the caches, or their checked shadows
 	// fastI and fastD are the caches when nothing observes their
 	// accesses, else nil. The pass then settles hits with TryRead and
 	// TryWrite and builds a cache.Result only for a miss.
@@ -361,10 +315,8 @@ type pass struct {
 	members []*member
 	touched []*member // members with an event in the current couplet
 
-	// Single-organization passes only: the lockstep oracle and the
-	// explainability recorder.
-	chk *check.Checker
-	exp *explain.Recorder
+	// Single-organization passes only: the run's observers.
+	obs *system.Observers
 }
 
 func (ps *pass) touch(m *member) {
@@ -387,7 +339,7 @@ func (ps *pass) run() error {
 	if ps.touched == nil {
 		ps.touched = make([]*member, 0, len(ps.members))
 	}
-	chains, chk := ps.chains, ps.chk
+	chains, chk := ps.chains, ps.obs.Checker()
 	for i := 0; i < len(refs); {
 		if chk != nil {
 			if err := chk.Err(); err != nil {
@@ -512,5 +464,5 @@ func (ps *pass) markWarm(shared *system.Counters) {
 	for _, m := range ps.members {
 		m.mark(shared)
 	}
-	ps.exp.MarkWarm()
+	ps.obs.MarkWarm()
 }

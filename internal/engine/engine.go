@@ -32,14 +32,6 @@ import (
 	"repro/internal/system"
 )
 
-// l1cache is the cache interface the behavioural pass drives: satisfied by
-// *cache.Cache directly and by *check.Shadow in selfcheck mode.
-type l1cache interface {
-	Read(addr uint64) cache.Result
-	Write(addr uint64) cache.Result
-	Config() cache.Config
-}
-
 // Org is the timing-independent part of a system configuration: the cache
 // organizations. Write buffer depth and all memory parameters belong to the
 // timing phase.

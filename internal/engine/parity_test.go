@@ -53,9 +53,7 @@ func TestAllInstrumentsLockstep(t *testing.T) {
 				Unified:       c.org.Unified,
 				WriteBufDepth: tm.WriteBufDepth,
 				Mem:           tm.Mem,
-				SelfCheck:     checkOpts,
-				Trace:         &traceOpts,
-				Explain:       &explainOpts,
+				Instruments:   system.Instruments{Check: checkOpts, Trace: &traceOpts, Explain: &explainOpts},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -65,13 +63,13 @@ func TestAllInstrumentsLockstep(t *testing.T) {
 				t.Fatalf("system run: %v", err)
 			}
 
-			exp := explain.New(explainOpts)
-			prof, err := BuildProfileExplained(c.org, tr, checkOpts, exp)
+			built := system.Instruments{Check: checkOpts, Explain: &explainOpts}.Arm()
+			prof, err := BuildProfileObserved(c.org, tr, built)
 			if err != nil {
 				t.Fatalf("engine build: %v", err)
 			}
-			rec := simtrace.New(traceOpts)
-			got, err := prof.ReplayTraced(tm, checkOpts, rec)
+			replayed := system.Instruments{Check: checkOpts, Trace: &traceOpts}.Arm()
+			got, err := prof.ReplayObserved(tm, replayed)
 			if err != nil {
 				t.Fatalf("engine replay: %v", err)
 			}
@@ -79,10 +77,10 @@ func TestAllInstrumentsLockstep(t *testing.T) {
 			if got.Warm != want.Warm {
 				t.Errorf("warm counters differ\nengine: %+v\nsystem: %+v", got.Warm, want.Warm)
 			}
-			if g, w := rec.AttributionWarm(), sys.Recorder().AttributionWarm(); !reflect.DeepEqual(g, w) {
+			if g, w := replayed.Trace.AttributionWarm(), sys.Recorder().AttributionWarm(); !reflect.DeepEqual(g, w) {
 				t.Errorf("warm attribution differs\nengine: %+v\nsystem: %+v", g, w)
 			}
-			g3, w3 := exp.ReportWarm().Total3C(), sys.Explainer().ReportWarm().Total3C()
+			g3, w3 := built.Explain.ReportWarm().Total3C(), sys.Explainer().ReportWarm().Total3C()
 			if g3 != w3 {
 				t.Errorf("warm 3C totals differ: engine %+v, system %+v", g3, w3)
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/check"
 	"repro/internal/mem"
 	"repro/internal/simtrace"
 	"repro/internal/system"
@@ -103,36 +102,20 @@ func (r *replayer) enqueueTracked(now int64, addr uint64, words int, ready int64
 // (whole-block fetch, no L2). The cost is proportional to the number of
 // events, not the number of references.
 func (p *Profile) Replay(t Timing) (system.Result, error) {
-	return p.replay(t, nil, nil)
+	return p.ReplayObserved(t, nil)
 }
 
-// ReplayChecked is Replay with the write buffer audited against the check
-// package's naive FIFO model: every enqueue and start is verified for
-// FIFO order and depth bounds, and the buffer's structural invariants run
-// at the end of the replay. The first violation aborts the replay with a
-// typed *check.Divergence error; a nil opts is exactly Replay.
-func (p *Profile) ReplayChecked(t Timing, opts *check.Options) (system.Result, error) {
-	return p.ReplayTraced(t, opts, nil)
-}
-
-// ReplayTraced is ReplayChecked with an optional simtrace recorder
-// attached: cycle attribution and the timeline event ring work exactly as
-// in the system simulator, and when both the checker and attribution are
-// armed the conservation invariant joins the invariant battery. Interval
-// windows are NOT supported here — the event stream compresses hit-only
-// couplet runs into gaps, so there is no per-couplet point at which to
-// sample write-buffer depth; use the system simulator for interval series.
-// A nil rec is exactly ReplayChecked.
-func (p *Profile) ReplayTraced(t Timing, opts *check.Options, rec *simtrace.Recorder) (system.Result, error) {
-	if opts == nil {
-		return p.replay(t, nil, rec)
-	}
-	chk := check.New(opts)
-	chk.SetContext(fmt.Sprintf("trace=%s dcache=%v cycle=%dns", p.TraceName, p.Org.DCache, t.CycleNs))
-	return p.replay(t, chk, rec)
-}
-
-func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (system.Result, error) {
+// ReplayObserved is Replay with the run's observers attached to its write
+// buffer (system.Observers.Buf). The oracle audits every enqueue and start
+// for FIFO order and depth bounds and runs the buffer's invariants, with
+// the first violation aborting the replay as a typed *check.Divergence
+// error. The simtrace recorder's cycle attribution and event ring work
+// exactly as in the system simulator. Interval windows are NOT supported
+// here: the event stream compresses hit-only couplet runs into gaps, so
+// there is no per-couplet point at which to sample write-buffer depth; use
+// the system simulator for interval series. An explain recorder belongs to
+// the behavioural pass and sees nothing here. A nil obs is exactly Replay.
+func (p *Profile) ReplayObserved(t Timing, obs *system.Observers) (system.Result, error) {
 	if err := t.Validate(); err != nil {
 		return system.Result{}, err
 	}
@@ -140,28 +123,13 @@ func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (
 	if err != nil {
 		return system.Result{}, err
 	}
-	r := &replayer{unit: mem.NewUnit(tm), rec: rec}
+	r := &replayer{unit: mem.NewUnit(tm), rec: obs.Recorder()}
 	if r.buf, err = writebuf.New(t.WriteBufDepth, &memSink{unit: r.unit}); err != nil {
 		return system.Result{}, err
 	}
-	if rec.EventsOn() {
-		r.buf.SetTracer(rec)
-	}
-	if chk != nil && rec.AttribOn() {
-		chk.AddInvariant("attrib-conservation", rec.CheckConservation)
-	}
-	if chk != nil {
-		bo := chk.BufOracle("l1buf", t.WriteBufDepth)
-		r.buf.SetAuditor(bo)
-		buf := r.buf
-		chk.AddInvariant("l1buf", buf.CheckInvariants)
-		chk.AddInvariant("l1buf-occupancy", func() error {
-			if real, oracle := buf.Len(), bo.Len(); real != oracle {
-				return fmt.Errorf("real queue holds %d entries, oracle %d", real, oracle)
-			}
-			return nil
-		})
-	}
+	obs.Name(p.TraceName, p.Org.DCache, t.CycleNs)
+	obs.Buf(r.buf, t.WriteBufDepth)
+	chk, rec := obs.Checker(), r.rec
 
 	ifw := p.Org.ICache.EffectiveFetchWords()
 	if p.Org.Unified {
@@ -190,7 +158,7 @@ func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (
 				rec.AddGap(int64(ev.gap), int64(ev.gapStoreHits), now)
 			}
 			if ev.flags&evMarker != 0 {
-				rec.MarkWarm()
+				obs.MarkWarm()
 				warmTiming = system.Counters{
 					Cycles:             now,
 					BufFullStallCycles: r.buf.FullStallCycles,
@@ -291,12 +259,7 @@ func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (
 	if rec != nil {
 		rec.AddGap(int64(p.tailGap), int64(p.tailGapStoreHits), now)
 	}
-	if chk != nil {
-		if err := chk.Finish(nil); err != nil {
-			return system.Result{}, err
-		}
-	}
-	if err := rec.Finish(simtrace.Sample{Refs: p.total.Refs, Cycles: now}, now); err != nil {
+	if err := obs.Finish(nil, simtrace.Sample{Refs: p.total.Refs, Cycles: now}, 0); err != nil {
 		return system.Result{}, err
 	}
 

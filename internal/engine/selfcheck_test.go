@@ -6,13 +6,14 @@ import (
 	"repro/internal/cache"
 	"repro/internal/check"
 	"repro/internal/mem"
+	"repro/internal/system"
 	"repro/internal/workload"
 )
 
-// TestBuildProfileChecked runs the behavioural pass with the lockstep
+// TestBuildProfileObservedChecked runs the behavioural pass with the lockstep
 // oracle attached and requires zero divergences and counters identical to
 // an unchecked build, then replays with the audited write buffer.
-func TestBuildProfileChecked(t *testing.T) {
+func TestBuildProfileObservedChecked(t *testing.T) {
 	l1cfg := func(size, block, assoc int, rep cache.Replacement) cache.Config {
 		return cache.Config{SizeWords: size, BlockWords: block, Assoc: assoc,
 			Replacement: rep, WritePolicy: cache.WriteBack, Seed: 2}
@@ -33,9 +34,9 @@ func TestBuildProfileChecked(t *testing.T) {
 		if err != nil {
 			t.Fatalf("org %d: BuildProfile: %v", i, err)
 		}
-		checked, err := BuildProfileChecked(org, tr, opts)
+		checked, err := BuildProfileObserved(org, tr, system.Instruments{Check: opts}.Arm())
 		if err != nil {
-			t.Fatalf("org %d: BuildProfileChecked diverged: %v", i, err)
+			t.Fatalf("org %d: checked build diverged: %v", i, err)
 		}
 		if checked.TotalCounters() != plain.TotalCounters() {
 			t.Errorf("org %d: checked build changed the counters", i)
@@ -50,9 +51,9 @@ func TestBuildProfileChecked(t *testing.T) {
 			if err != nil {
 				t.Fatalf("org %d: Replay: %v", i, err)
 			}
-			got, err := checked.ReplayChecked(tm, opts)
+			got, err := checked.ReplayObserved(tm, system.Instruments{Check: opts}.Arm())
 			if err != nil {
-				t.Fatalf("org %d: ReplayChecked diverged: %v", i, err)
+				t.Fatalf("org %d: checked replay diverged: %v", i, err)
 			}
 			if got != want {
 				t.Errorf("org %d: checked replay changed the result", i)

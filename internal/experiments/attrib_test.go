@@ -21,9 +21,9 @@ func TestSweepAttributionAggregation(t *testing.T) {
 	s := MustNewSuiteWithTracesForTest(t)
 	reg := obs.NewRegistry()
 	s.SetExec(ExecOptions{
-		Workers: 2,
-		Metrics: reg,
-		Trace:   &simtrace.Options{Attrib: true, Events: true},
+		Workers:     2,
+		Metrics:     reg,
+		Instruments: system.Instruments{Trace: &simtrace.Options{Attrib: true, Events: true}},
 	})
 	if _, err := s.SpeedSizeGrid(context.Background(), sweepSizes, sweepCycles, 1); err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestSweepAttributionAggregation(t *testing.T) {
 // checks each carries a conserved warm-window attribution.
 func TestCellAttributionBalance(t *testing.T) {
 	s := MustNewSuiteWithTracesForTest(t)
-	s.SetExec(ExecOptions{Trace: &simtrace.Options{Attrib: true}})
+	s.SetExec(ExecOptions{Instruments: system.Instruments{Trace: &simtrace.Options{Attrib: true}}})
 
 	replay := s.replayCell(0, OrgFor(8, 4, 1), baseTiming(40))
 	v, err := replay.Run(context.Background())
@@ -123,7 +123,7 @@ func TestSweepResultsUnchangedByTrace(t *testing.T) {
 	}
 
 	traced := MustNewSuiteWithTracesForTest(t)
-	traced.SetExec(ExecOptions{Workers: 2, Trace: &simtrace.Options{Attrib: true}})
+	traced.SetExec(ExecOptions{Workers: 2, Instruments: system.Instruments{Trace: &simtrace.Options{Attrib: true}}})
 	got, err := traced.SpeedSizeGrid(context.Background(), sweepSizes, sweepCycles, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func TestSelfCheckSweepClean(t *testing.T) {
 	}
 
 	checked := MustNewSuiteWithTracesForTest(t)
-	checked.SetExec(ExecOptions{SelfCheck: &check.Options{Every: 512}})
+	checked.SetExec(ExecOptions{Instruments: system.Instruments{Check: &check.Options{Every: 512}}})
 	checkedGrid, err := checked.SpeedSizeGrid(context.Background(), sizes, cycles, 1)
 	if err != nil {
 		t.Fatalf("selfcheck sweep diverged: %v", err)

@@ -129,8 +129,8 @@ func TestReplaySharingCounters(t *testing.T) {
 		runs, sharedRuns int64
 	}{
 		{"plain", ExecOptions{}, 9, 7},
-		{"selfcheck", ExecOptions{SelfCheck: &check.Options{Every: 512}}, 16, 0},
-		{"trace", ExecOptions{Trace: &simtrace.Options{Attrib: true}}, 16, 0},
+		{"selfcheck", ExecOptions{Instruments: system.Instruments{Check: &check.Options{Every: 512}}}, 16, 0},
+		{"trace", ExecOptions{Instruments: system.Instruments{Trace: &simtrace.Options{Attrib: true}}}, 16, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -208,7 +208,7 @@ func TestChainPassCounters(t *testing.T) {
 		passes, profiles int64
 	}{
 		{"plain", ExecOptions{}, 8, 88},
-		{"selfcheck", ExecOptions{SelfCheck: &check.Options{Every: 4096}}, 88, 88},
+		{"selfcheck", ExecOptions{Instruments: system.Instruments{Check: &check.Options{Every: 4096}}}, 88, 88},
 	}
 	var grids []*analysis.PerfGrid
 	for _, c := range cases {

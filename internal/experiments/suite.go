@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"repro/internal/cache"
+	"repro/internal/check"
 	"repro/internal/engine"
 	"repro/internal/explain"
 	"repro/internal/mem"
@@ -85,7 +86,7 @@ type profileEntry struct {
 	once sync.Once
 	p    *engine.Profile
 	// exp is the warm-window explainability report of the behavioural
-	// pass, nil unless ExecOptions.Explain armed the recorder.
+	// pass, nil unless ExecOptions.Instruments armed the recorder.
 	exp *explain.Report
 	err error
 
@@ -225,7 +226,7 @@ func OrgFor(totalKB, blockWords, assoc int) engine.Org {
 // per key, with contending cells blocking on the builder rather than
 // duplicating it. Besides the profile, the slot carries the behavioural
 // pass's warm-window explainability report (nil unless
-// ExecOptions.Explain is set), so the report exists exactly once per
+// ExecOptions.Instruments arms explain), so the report exists exactly once per
 // (organization × trace) however many replay cells share the profile.
 func (s *Suite) profileEntry(i int, org engine.Org) *profileEntry {
 	key := profileKey{traceIdx: i, org: org}
@@ -238,26 +239,25 @@ func (s *Suite) profileEntry(i int, org engine.Org) *profileEntry {
 	cs := s.chains[org]
 	s.mu.Unlock()
 	singleFlight(&e.once, &e.err, func() error {
-		// The selfcheck oracle and the explain recorder must observe every
-		// access of every cache, so they keep one organization per pass.
-		if cs != nil && s.exec.SelfCheck == nil && s.exec.Explain == nil {
+		// A behavioural pass drives the oracle and the explain recorder;
+		// they must observe every access of every cache, so they keep one
+		// organization per pass.
+		in := s.exec.Instruments
+		o := system.Instruments{Check: in.Check, Explain: in.Explain}.Arm()
+		if cs != nil && o == nil {
 			p, err := s.chainProfile(cs, i, org)
 			e.p = p
 			return err
 		}
-		var rec *explain.Recorder
-		if s.exec.Explain != nil {
-			rec = explain.New(*s.exec.Explain)
-		}
-		p, err := engine.BuildProfileExplained(org, s.Traces[i], s.exec.SelfCheck, rec)
+		p, err := engine.BuildProfileObserved(org, s.Traces[i], o)
 		if err != nil {
 			return fmt.Errorf("experiments: profiling %s against %s: %w",
 				org.DCache.String(), s.Traces[i].Name, err)
 		}
 		s.countPass(1)
 		e.p = p
-		if rec.On() {
-			e.exp = rec.ReportWarm()
+		if exp := o.Explainer(); exp.On() {
+			e.exp = exp.ReportWarm()
 			s.recordExplain(e.exp)
 		}
 		return nil
@@ -316,13 +316,18 @@ func (s *Suite) countPass(n int) {
 // replay runs the timing phase of a built profile slot at tm for one cell.
 // Uninstrumented replays are shared: the first cell of a timing class
 // replays, and every cell of the class reads that result stamped with its
-// own cycle time. A cell that arms the selfcheck oracle or a recorder
-// replays alone, because its checks and attribution belong to it.
+// own cycle time. A cell that arms the oracle or a recorder replays alone,
+// because its checks and attribution belong to it.
 func (s *Suite) replay(e *profileEntry, tm engine.Timing, rec *simtrace.Recorder) (system.Result, error) {
-	if rec != nil || s.exec.SelfCheck != nil || tm.Validate() != nil {
+	chk := s.exec.Instruments.Check
+	if rec != nil || chk != nil || tm.Validate() != nil {
 		// An invalid timing, too, replays alone and reports its error.
 		s.count(obs.MReplaysRun)
-		return e.p.ReplayTraced(tm, s.exec.SelfCheck, rec)
+		o := &system.Observers{Trace: rec}
+		if chk != nil {
+			o.Check = check.New(chk)
+		}
+		return e.p.ReplayObserved(tm, o)
 	}
 	q := tm.Mem.MustQuantize(tm.CycleNs)
 	q.CycleNs = 0

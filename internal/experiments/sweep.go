@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"time"
 
-	"repro/internal/check"
 	"repro/internal/engine"
 	"repro/internal/explain"
 	"repro/internal/faultinject"
@@ -41,36 +40,29 @@ type ExecOptions struct {
 	// Log, when set, carries the structured event stream: cell failures,
 	// retries and checkpoint replays. Nil disables logging.
 	Log *slog.Logger
-	// SelfCheck, when set, runs every simulation cell in lockstep with the
-	// differential oracle (internal/check): behavioural profiles, timing
-	// replays and full-system cells all shadow their L1 caches and write
-	// buffers. Divergences surface as permanent (never-retried) cell
-	// errors. Checked cells produce bit-identical results to unchecked
-	// ones, so checkpoint keys do not encode the option.
-	SelfCheck *check.Options
 	// Faults, when set, injects the plan's deterministic faults (forced
 	// panics, delays, transient errors) around each cell, exercising the
 	// runner's isolation, retry and checkpoint machinery end-to-end.
 	Faults *faultinject.Plan
-	// Trace, when set, arms the simtrace recorder inside every freshly
-	// computed simulation cell: the cell output carries the warm-window
-	// cycle attribution (aggregated into the Metrics registry under
-	// obs.MAttribPrefix), and when the event ring is armed the first
-	// completed cell's timeline is retained for Suite.EventTrace. Interval
-	// windows are ignored here — replay cells compress hit runs into gaps
-	// (see engine.ReplayTraced). Instrumented cells produce bit-identical
-	// results, so checkpoint keys do not encode the option; cells replayed
-	// from a checkpoint skip simulation and contribute no attribution.
-	Trace *simtrace.Options
-	// Explain, when set, arms the explainability recorder
-	// (internal/explain) inside every behavioural pass and full-system
-	// cell: 3C miss classification, reuse-distance histograms and
-	// set-pressure heat. Counters and system cells carry the warm-window
-	// report (aggregated into the Metrics registry under the explain_*
-	// names); replay cells share their profile's single report rather
-	// than repeating it per timing. Instrumented cells produce
-	// bit-identical results, so checkpoint keys do not encode the option.
-	Explain *explain.Options
+	// Instruments arms the passive observers in every freshly computed
+	// simulation cell. Observed cells produce bit-identical results, so
+	// checkpoint keys do not encode the option, and cells replayed from a
+	// checkpoint skip simulation and observe nothing.
+	//   - Check runs the differential oracle (internal/check) in
+	//     behavioural passes, timing replays and full-system cells; a
+	//     divergence is a permanent (never-retried) cell error.
+	//   - Trace puts the warm-window cycle attribution in the output of
+	//     replay and system cells (aggregated into the Metrics registry
+	//     under obs.MAttribPrefix), and with the event ring armed the
+	//     first completed cell's timeline is kept for Suite.EventTrace.
+	//     Interval windows are stripped: replays compress hit runs into
+	//     gaps, so a cell has no per-couplet point to sample.
+	//   - Explain classifies misses (3C), histograms reuse distances and
+	//     heats sets in every behavioural pass and system cell. Counters
+	//     and system cells carry the warm-window report (aggregated under
+	//     the explain_* names); replay cells share their profile's one
+	//     report rather than repeat it per timing.
+	Instruments system.Instruments
 }
 
 // SetExec configures sweep execution. Call before running figures; the
@@ -112,19 +104,29 @@ type cellOut struct {
 	Explain *explain.Report `json:"explain,omitempty"`
 }
 
-// cellRecorder builds the per-cell simtrace recorder, or nil when tracing
-// is off. Interval windows are stripped: cells report attribution and
-// events only.
+// cellInstruments returns the sweep's instruments as a cell arms them:
+// interval windows are stripped, so a cell reports attribution and events
+// only, and a Trace that arms neither is dropped.
+func (s *Suite) cellInstruments() system.Instruments {
+	in := s.exec.Instruments
+	if in.Trace != nil {
+		opts := *in.Trace
+		opts.IntervalRefs = 0
+		in.Trace = nil
+		if opts.Attrib || opts.Events {
+			in.Trace = &opts
+		}
+	}
+	return in
+}
+
+// cellRecorder builds a replay cell's simtrace recorder, or nil when
+// tracing is off.
 func (s *Suite) cellRecorder() *simtrace.Recorder {
-	if s.exec.Trace == nil {
-		return nil
+	if opts := s.cellInstruments().Trace; opts != nil {
+		return simtrace.New(*opts)
 	}
-	opts := *s.exec.Trace
-	opts.IntervalRefs = 0
-	if !opts.Attrib && !opts.Events {
-		return nil
-	}
-	return simtrace.New(opts)
+	return nil
 }
 
 // offerEventTrace retains the first completed recorder with an armed event
@@ -272,13 +274,7 @@ func (s *Suite) systemCell(i int, cfg system.Config) runner.Cell[cellOut] {
 				return cellOut{}, err
 			}
 			cfg := cfg
-			cfg.SelfCheck = s.exec.SelfCheck
-			if s.exec.Trace != nil {
-				opts := *s.exec.Trace
-				opts.IntervalRefs = 0 // no per-cell window sink; see ExecOptions.Trace
-				cfg.Trace = &opts
-			}
-			cfg.Explain = s.exec.Explain
+			cfg.Instruments = s.cellInstruments()
 			sys, err := system.New(cfg)
 			if err != nil {
 				return cellOut{}, err

@@ -82,8 +82,8 @@ func TestThreeCConservationGrid(t *testing.T) {
 	for _, org := range orgs {
 		for _, tr := range gridTraces(t) {
 			cfg := sysConfig(org)
-			cfg.Explain = &explain.Options{ThreeC: true, Reuse: true, Heat: true}
-			cfg.SelfCheck = &check.Options{}
+			cfg.Instruments.Explain = &explain.Options{ThreeC: true, Reuse: true, Heat: true}
+			cfg.Instruments.Check = &check.Options{}
 			sys := system.MustNew(cfg)
 			res, err := sys.Run(tr)
 			if err != nil {
@@ -107,7 +107,7 @@ func TestThreeCConservationGrid(t *testing.T) {
 			}
 
 			exp := explain.New(explain.Options{ThreeC: true, Reuse: true, Heat: true})
-			if _, err := engine.BuildProfileExplained(org, tr, &check.Options{}, exp); err != nil {
+			if _, err := engine.BuildProfileObserved(org, tr, &system.Observers{Check: check.New(&check.Options{}), Explain: exp}); err != nil {
 				t.Fatalf("%v/%s: engine: %v", org.DCache, tr.Name, err)
 			}
 			if engRep := exp.Report(); !reflect.DeepEqual(engRep, rep) {
@@ -129,7 +129,7 @@ func TestConflictZeroAtFullAssociativity(t *testing.T) {
 		cfgC := l1(256, 4, 64, cache.LRU, alloc)
 		for _, tr := range gridTraces(t) {
 			cfg := sysConfig(engine.Org{ICache: cfgC, DCache: cfgC})
-			cfg.Explain = &explain.Options{ThreeC: true}
+			cfg.Instruments.Explain = &explain.Options{ThreeC: true}
 			sys := system.MustNew(cfg)
 			if _, err := sys.Run(tr); err != nil {
 				t.Fatalf("%s alloc=%v: %v", tr.Name, alloc, err)
@@ -159,7 +159,7 @@ func TestAllCompulsoryWhenCapacityCoversFootprint(t *testing.T) {
 		}
 		cfgC := l1(capBlocks*blockWords, blockWords, capBlocks, cache.LRU, true)
 		cfg := sysConfig(engine.Org{ICache: cfgC, DCache: cfgC})
-		cfg.Explain = &explain.Options{ThreeC: true}
+		cfg.Instruments.Explain = &explain.Options{ThreeC: true}
 		sys := system.MustNew(cfg)
 		if _, err := sys.Run(tr); err != nil {
 			t.Fatalf("%s: %v", tr.Name, err)
@@ -188,7 +188,7 @@ func TestDisabledRunsBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		armed := base
-		armed.Explain = &explain.Options{ThreeC: true, Reuse: true, Heat: true}
+		armed.Instruments.Explain = &explain.Options{ThreeC: true, Reuse: true, Heat: true}
 		got, err := system.Simulate(armed, tr)
 		if err != nil {
 			t.Fatal(err)
@@ -197,7 +197,7 @@ func TestDisabledRunsBitIdentical(t *testing.T) {
 			t.Fatalf("%s: result changed with -explain armed:\noff: %+v\non:  %+v", tr.Name, want, got)
 		}
 		disarmed := base
-		disarmed.Explain = &explain.Options{}
+		disarmed.Instruments.Explain = &explain.Options{}
 		got, err = system.Simulate(disarmed, tr)
 		if err != nil {
 			t.Fatal(err)
@@ -213,7 +213,7 @@ func TestDisabledRunsBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		exp := explain.New(explain.All())
-		profExp, err := engine.BuildProfileExplained(org, tr, nil, exp)
+		profExp, err := engine.BuildProfileObserved(org, tr, &system.Observers{Explain: exp})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,14 +28,14 @@ func TestEmptyTraceRejected(t *testing.T) {
 
 	cfg := sysConfig(org)
 	opts := explain.All()
-	cfg.Explain = &opts
+	cfg.Instruments.Explain = &opts
 	if _, err := system.Simulate(cfg, empty); err == nil {
 		t.Fatal("system.Simulate accepted an empty trace")
 	}
 
 	exp := explain.New(explain.All())
-	if _, err := engine.BuildProfileExplained(org, empty, nil, exp); err == nil {
-		t.Fatal("engine.BuildProfileExplained accepted an empty trace")
+	if _, err := engine.BuildProfileObserved(org, empty, &system.Observers{Explain: exp}); err == nil {
+		t.Fatal("engine.BuildProfileObserved accepted an empty trace")
 	}
 }
 
@@ -82,7 +82,7 @@ func TestZeroMissWarmWindowRenders(t *testing.T) {
 	for _, tr := range []*trace.Trace{allhit, degen} {
 		cfg := sysConfig(org)
 		opts := explain.All()
-		cfg.Explain = &opts
+		cfg.Instruments.Explain = &opts
 		sys := system.MustNew(cfg)
 		res, err := sys.Run(tr)
 		if err != nil {

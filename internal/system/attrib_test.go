@@ -13,7 +13,7 @@ import (
 // recorder's view next to the ordinary result.
 func runAttrib(t *testing.T, cfg Config, tr *trace.Trace) (*System, Result) {
 	t.Helper()
-	cfg.Trace = &simtrace.Options{Attrib: true}
+	cfg.Instruments.Trace = &simtrace.Options{Attrib: true}
 	sys := MustNew(cfg)
 	res, err := sys.Run(tr)
 	if err != nil {
@@ -242,7 +242,7 @@ func TestAttributionOffIsAbsent(t *testing.T) {
 // the final cumulative window state matches the run totals.
 func TestIntervalWindowsFromSystem(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Trace = &simtrace.Options{IntervalRefs: 500}
+	cfg.Instruments.Trace = &simtrace.Options{IntervalRefs: 500}
 	sys := MustNew(cfg)
 	tr := workload.Random(4000, 1<<14, 0.3, 29)
 	res, err := sys.Run(tr)
@@ -274,7 +274,7 @@ func TestIntervalWindowsFromSystem(t *testing.T) {
 // expected kinds with sane bounds.
 func TestEventRingFromSystem(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Trace = &simtrace.Options{Events: true}
+	cfg.Instruments.Trace = &simtrace.Options{Events: true}
 	sys := MustNew(cfg)
 	res, err := sys.Run(workload.Random(3000, 1<<14, 0.4, 31))
 	if err != nil {

@@ -13,10 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/check"
-	"repro/internal/explain"
 	"repro/internal/mem"
-	"repro/internal/simtrace"
 )
 
 // FetchPolicy selects when a missing read reference completes.
@@ -92,29 +89,13 @@ type Config struct {
 	// CollectLatencies enables the couplet service-time histogram,
 	// retrievable via (*System).CoupletLatencies after a Run.
 	CollectLatencies bool
-	// SelfCheck, when non-nil, runs the check package's reference model
-	// in lockstep with the L1 caches and write buffer: every access is
-	// diffed against the oracle and structural invariants run at the
-	// configured interval, with the first divergence aborting the run as
-	// a typed *check.Divergence error. Excluded from JSON so runner
-	// checkpoint keys (which hash the encoded config) are unchanged by
-	// enabling it.
-	SelfCheck *check.Options `json:"-"`
-	// Trace, when non-nil, arms the in-run instrumentation recorder
-	// (internal/simtrace): cycle attribution, interval windows and the
-	// timeline event ring, retrievable via (*System).Recorder after a
-	// Run. Purely passive — simulated timing and all counters are
-	// bit-identical with it on or off. Excluded from JSON for the same
-	// reason as SelfCheck: runner checkpoint keys hash the encoded
-	// config and must not change when instrumentation is enabled.
-	Trace *simtrace.Options `json:"-"`
-	// Explain, when non-nil, arms the explainability recorder
-	// (internal/explain): 3C miss classification against shadow infinite
-	// and fully-associative LRU caches, reuse-distance histograms, and
-	// per-set pressure counters, retrievable via (*System).Explainer
-	// after a Run. Purely passive and excluded from JSON for the same
-	// reasons as Trace.
-	Explain *explain.Options `json:"-"`
+	// Instruments arms the run's passive observers (see Instruments),
+	// retrievable via (*System).Recorder and (*System).Explainer after a
+	// Run. Simulated timing and every counter are bit-identical with them
+	// on or off, so the field is excluded from JSON: runner checkpoint
+	// keys hash the encoded config and must not change when an observer
+	// is armed.
+	Instruments Instruments `json:"-"`
 }
 
 // effectiveLevels resolves the L2 sugar field and Levels into one list,

@@ -57,7 +57,7 @@ func TestRunSelfCheckClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cfg %d: unchecked run: %v", i, err)
 		}
-		cfg.SelfCheck = &check.Options{Every: 256}
+		cfg.Instruments.Check = &check.Options{Every: 256}
 		checked, err := system.Simulate(cfg, tr)
 		if err != nil {
 			t.Fatalf("cfg %d: selfcheck run diverged: %v", i, err)
@@ -84,7 +84,7 @@ func mustJSON(t *testing.T, v any) string {
 func TestRunSelfCheckKeyStability(t *testing.T) {
 	cfg := system.DefaultConfig()
 	plainJSON := mustJSON(t, cfg)
-	cfg.SelfCheck = &check.Options{Every: 1}
+	cfg.Instruments.Check = &check.Options{Every: 1}
 	if got := mustJSON(t, cfg); got != plainJSON {
 		t.Errorf("SelfCheck leaks into the JSON encoding:\n%s\nvs\n%s", got, plainJSON)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/check"
 	"repro/internal/explain"
 	"repro/internal/mem"
 	"repro/internal/simtrace"
@@ -13,15 +12,6 @@ import (
 	"repro/internal/writebuf"
 )
 
-// l1cache is the cache interface the couplet loop drives: satisfied by
-// *cache.Cache directly and by *check.Shadow in selfcheck mode, so the
-// reference model drops into the loop without touching the timing logic.
-type l1cache interface {
-	Read(addr uint64) cache.Result
-	Write(addr uint64) cache.Result
-	Config() cache.Config
-}
-
 // System is the single-phase reference simulator. Construct one per
 // configuration with New; each Run starts from cold caches and an idle
 // memory. Not safe for concurrent use.
@@ -29,9 +19,9 @@ type System struct {
 	cfg    Config
 	timing mem.Timing
 
-	icache l1cache
-	dcache l1cache
-	chk    *check.Checker // nil unless cfg.SelfCheck is set
+	icache L1Cache
+	dcache L1Cache
+	obs    *Observers // nil unless cfg.Instruments arms an observer
 	unit   *mem.Unit
 	levels []*cacheLevel // L2, L3, … ordered from nearest to L1
 	down   Downstream
@@ -45,15 +35,14 @@ type System struct {
 	live Counters
 	hist *stats.Hist // couplet service-time histogram, when enabled
 
-	// rec is the in-run instrumentation recorder, nil unless cfg.Trace
-	// is set; svc is its per-miss service-cycle scratch (one slot per
-	// lower level plus one for the memory unit).
+	// rec is the observers' simtrace recorder, or nil; svc is its
+	// per-miss service-cycle scratch (one slot per lower level plus one
+	// for the memory unit).
 	rec *simtrace.Recorder
 	svc []int64
 
-	// exp is the explainability recorder, nil unless cfg.Explain is set;
-	// expI/expD are its per-side probes (one shared probe when unified).
-	exp  *explain.Recorder
+	// expI/expD are the explain recorder's per-side probes, nil when
+	// unexplained (one shared probe when unified).
 	expI *explain.Probe
 	expD *explain.Probe
 }
@@ -82,44 +71,27 @@ func MustNew(cfg Config) *System {
 // Config returns the simulated configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// reset builds fresh cold state for a run. In selfcheck mode the L1
-// caches are wrapped in lockstep shadows and the write buffer is audited
-// against a naive FIFO model; the lower levels run unshadowed (the oracle
-// models L1 only).
+// reset builds fresh cold state for a run and attaches the configured
+// observers to it. The oracle models L1 only, so the lower levels run
+// unshadowed.
 func (s *System) reset(traceName string) error {
-	s.chk = nil
-	if s.cfg.SelfCheck != nil {
-		s.chk = check.New(s.cfg.SelfCheck)
-		s.chk.SetContext(fmt.Sprintf("trace=%s dcache=%v", traceName, s.cfg.DCache))
-	}
+	s.obs = s.cfg.Instruments.Arm()
+	s.obs.Name(traceName, s.cfg.DCache, 0)
 	dreal, err := cache.New(s.cfg.DCache)
 	if err != nil {
 		return err
 	}
-	s.dcache = dreal
-	if s.chk != nil {
-		label := "D"
-		if s.cfg.Unified {
-			label = "U"
-		}
-		if s.dcache, err = s.chk.Shadow(label, dreal); err != nil {
+	ireal := dreal
+	if !s.cfg.Unified {
+		if ireal, err = cache.New(s.cfg.ICache); err != nil {
 			return err
 		}
 	}
-	if s.cfg.Unified {
-		s.icache = s.dcache
-	} else {
-		ireal, err := cache.New(s.cfg.ICache)
-		if err != nil {
-			return err
-		}
-		s.icache = ireal
-		if s.chk != nil {
-			if s.icache, err = s.chk.Shadow("I", ireal); err != nil {
-				return err
-			}
-		}
+	l1, err := s.obs.L1(dreal, ireal, s.cfg.Unified)
+	if err != nil {
+		return err
 	}
+	s.icache, s.dcache, s.expI, s.expD = l1.I, l1.D, l1.IProbe, l1.DProbe
 	s.unit = mem.NewUnit(s.timing)
 	var next Downstream = &memDown{unit: s.unit}
 	cfgs := s.cfg.effectiveLevels()
@@ -136,18 +108,7 @@ func (s *System) reset(traceName string) error {
 	if s.l1buf, err = writebuf.New(s.cfg.WriteBufDepth, s.down); err != nil {
 		return err
 	}
-	if s.chk != nil {
-		bo := s.chk.BufOracle("l1buf", s.cfg.WriteBufDepth)
-		s.l1buf.SetAuditor(bo)
-		buf := s.l1buf
-		s.chk.AddInvariant("l1buf", buf.CheckInvariants)
-		s.chk.AddInvariant("l1buf-occupancy", func() error {
-			if real, oracle := buf.Len(), bo.Len(); real != oracle {
-				return fmt.Errorf("real queue holds %d entries, oracle %d", real, oracle)
-			}
-			return nil
-		})
-	}
+	s.obs.Buf(s.l1buf, s.cfg.WriteBufDepth)
 	s.iBusy, s.dBusy = 0, 0
 	s.live = Counters{}
 	if s.cfg.CollectLatencies {
@@ -155,48 +116,19 @@ func (s *System) reset(traceName string) error {
 	} else {
 		s.hist = nil
 	}
-	s.rec, s.svc = nil, nil
-	if s.cfg.Trace != nil {
-		s.rec = simtrace.New(*s.cfg.Trace)
+	s.rec, s.svc = s.obs.Recorder(), nil
+	if s.rec != nil {
 		s.svc = make([]int64, len(s.levels)+1)
-		if s.rec.EventsOn() {
-			s.l1buf.SetTracer(s.rec)
-		}
-		if s.chk != nil && s.rec.AttribOn() {
-			s.chk.AddInvariant("attrib-conservation", s.rec.CheckConservation)
-		}
-	}
-	s.exp, s.expI, s.expD = nil, nil, nil
-	// A disarmed Options arms no instrument, so skip the recorder entirely:
-	// the run takes the identical code path as cfg.Explain == nil, which is
-	// what lets `make explaingate` hold absent-vs-disabled within budget.
-	if s.cfg.Explain != nil && s.cfg.Explain.Any() {
-		s.exp = explain.New(*s.cfg.Explain)
-		label := "D"
-		if s.cfg.Unified {
-			label = "U"
-		}
-		if s.expD, err = s.exp.Probe(label, s.cfg.DCache); err != nil {
-			return err
-		}
-		if s.cfg.Unified {
-			s.expI = s.expD
-		} else if s.expI, err = s.exp.Probe("I", s.cfg.ICache); err != nil {
-			return err
-		}
-		if s.chk != nil {
-			s.chk.AddInvariant("explain-3c", s.exp.CheckConservation)
-		}
 	}
 	return nil
 }
 
-// Explainer returns the explainability recorder of the most recent Run,
-// or nil unless Config.Explain was set.
-func (s *System) Explainer() *explain.Recorder { return s.exp }
+// Explainer returns the explain recorder of the most recent Run, or nil
+// unless Config.Instruments armed it.
+func (s *System) Explainer() *explain.Recorder { return s.obs.Explainer() }
 
 // Recorder returns the simtrace recorder of the most recent Run, or nil
-// unless Config.Trace was set.
+// unless Config.Instruments armed it.
 func (s *System) Recorder() *simtrace.Recorder { return s.rec }
 
 // sample snapshots the cumulative interval statistics at the given cycle.
@@ -212,8 +144,8 @@ func (s *System) sample(now int64) simtrace.Sample {
 		StoreMisses:   s.live.StoreMisses,
 		MemBusyCycles: s.unit.BusyCycles,
 	}
-	if s.exp != nil {
-		c3 := s.exp.Total3C()
+	if exp := s.obs.Explainer(); exp != nil {
+		c3 := exp.Total3C()
 		smp.Compulsory = c3.Compulsory
 		smp.Capacity = c3.Capacity
 		smp.Conflict = c3.Conflict
@@ -287,17 +219,17 @@ func (s *System) Run(t *trace.Trace) (Result, error) {
 	var now int64
 	var warmSnap Counters
 	warmTaken := t.WarmStart == 0
+	chk := s.obs.Checker()
 
 	for i := 0; i < len(refs); {
-		if s.chk != nil {
-			if err := s.chk.Err(); err != nil {
+		if chk != nil {
+			if err := chk.Err(); err != nil {
 				return Result{}, err
 			}
 		}
 		if !warmTaken && i >= t.WarmStart {
 			warmSnap = s.snapshot(now)
-			s.rec.MarkWarm()
-			s.exp.MarkWarm()
+			s.obs.MarkWarm()
 			warmTaken = true
 		}
 		n := trace.CoupletLen(refs, i)
@@ -340,22 +272,13 @@ func (s *System) Run(t *trace.Trace) (Result, error) {
 	total := s.snapshot(now)
 	if !warmTaken {
 		warmSnap = total
-		s.rec.MarkWarm() // degenerate warm window: keep attribution consistent
-		s.exp.MarkWarm()
+		s.obs.MarkWarm() // degenerate warm window: keep the recorders consistent
 	}
-	if s.chk != nil {
+	if s.obs != nil {
 		tally := total.SelfCheckTally()
-		if err := s.chk.Finish(&tally); err != nil {
+		if err := s.obs.Finish(&tally, s.sample(now), total.IfetchMisses+total.LoadMisses+total.StoreMisses); err != nil {
 			return Result{}, err
 		}
-	}
-	if s.rec != nil {
-		if err := s.rec.Finish(s.sample(now), now); err != nil {
-			return Result{}, err
-		}
-	}
-	if err := s.exp.Finish(total.IfetchMisses + total.LoadMisses + total.StoreMisses); err != nil {
-		return Result{}, err
 	}
 	return Result{CycleNs: s.cfg.CycleNs, Total: total, Warm: total.Sub(warmSnap)}, nil
 }
@@ -377,7 +300,7 @@ func (s *System) dataRef(now int64, r trace.Ref) int64 {
 // whole block for the paper's base system, one sub-block under sub-block
 // placement. It returns the cycle the missing reference completes and the
 // cycle the side becomes free.
-func (s *System) missFetch(start int64, c l1cache, addr uint64, res cache.Result) (complete, busy int64) {
+func (s *System) missFetch(start int64, c L1Cache, addr uint64, res cache.Result) (complete, busy int64) {
 	fw := c.Config().EffectiveFetchWords()
 	fetchAddr := addr &^ uint64(fw-1)
 	s.l1buf.Drain(start)
@@ -461,7 +384,7 @@ func (s *System) wordArrival(fillStart int64, words int) int64 {
 }
 
 // readRef services a load or instruction fetch.
-func (s *System) readRef(now int64, c l1cache, r trace.Ref, isIfetch bool) int64 {
+func (s *System) readRef(now int64, c L1Cache, r trace.Ref, isIfetch bool) int64 {
 	if isIfetch {
 		s.live.Ifetches++
 		if s.iBusy > now {
@@ -475,7 +398,7 @@ func (s *System) readRef(now int64, c l1cache, r trace.Ref, isIfetch bool) int64
 	}
 	addr := r.Extended()
 	res := c.Read(addr)
-	if s.exp != nil {
+	if s.expD != nil {
 		if isIfetch {
 			s.expI.OnRead(addr, res)
 		} else {
