@@ -151,11 +151,12 @@ func (r *Recorder) Match(now int64, addr uint64) {
 
 // --- Chrome trace-event export ----------------------------------------
 
-// chromeEvent is one entry of the Chrome trace-event JSON format
-// (loadable in Perfetto and chrome://tracing). Simulated cycles are
-// written as microseconds one-to-one, so the viewer's time axis reads
-// directly in cycles.
-type chromeEvent struct {
+// ChromeEvent is one entry of the Chrome trace-event JSON format
+// (loadable in Perfetto and chrome://tracing). The simulator writes
+// simulated cycles as microseconds one-to-one, so the viewer's time axis
+// reads directly in cycles; the service's span traces write real
+// microseconds.
+type ChromeEvent struct {
 	Name  string            `json:"name"`
 	Cat   string            `json:"cat,omitempty"`
 	Phase string            `json:"ph"`
@@ -167,9 +168,34 @@ type chromeEvent struct {
 	Args  map[string]string `json:"args,omitempty"`
 }
 
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
+// ChromeRow names one timeline row (a thread id) of a Chrome trace.
+type ChromeRow struct {
+	Tid  int
+	Name string
+}
+
+// EncodeChrome writes events as an indented Chrome trace-event JSON
+// document of one process, preceded by metadata naming the process and
+// each timeline row.
+func EncodeChrome(w io.Writer, process string, rows []ChromeRow, events []ChromeEvent) error {
+	all := make([]ChromeEvent, 0, 1+len(rows)+len(events))
+	all = append(all, ChromeEvent{
+		Name: "process_name", Phase: "M", Pid: 1,
+		Args: map[string]string{"name": process},
+	})
+	for _, row := range rows {
+		all = append(all, ChromeEvent{
+			Name: "thread_name", Phase: "M", Pid: 1, Tid: row.Tid,
+			Args: map[string]string{"name": row.Name},
+		})
+	}
+	all = append(all, events...)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(struct {
+		TraceEvents     []ChromeEvent `json:"traceEvents"`
+		DisplayTimeUnit string        `json:"displayTimeUnit"`
+	}{all, "ms"})
 }
 
 // WriteChromeTrace writes the recorded events as Chrome trace-event
@@ -178,26 +204,10 @@ type chromeTrace struct {
 // timeline rows.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	evs := r.Events()
-	out := chromeTrace{
-		TraceEvents:     make([]chromeEvent, 0, len(evs)+5),
-		DisplayTimeUnit: "ms",
-	}
-	out.TraceEvents = append(out.TraceEvents, chromeEvent{
-		Name: "process_name", Phase: "M", Pid: 1,
-		Args: map[string]string{"name": "simulator"},
-	})
-	for _, row := range []struct {
-		tid  int
-		name string
-	}{{1, "I-side"}, {2, "D-side"}, {3, "write buffer"}, {4, "memory"}} {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "thread_name", Phase: "M", Pid: 1, Tid: row.tid,
-			Args: map[string]string{"name": row.name},
-		})
-	}
+	out := make([]ChromeEvent, 0, len(evs))
 	for _, ev := range evs {
 		tid, _ := ev.Kind.track()
-		ce := chromeEvent{
+		ce := ChromeEvent{
 			Name: ev.Kind.String(),
 			Cat:  "sim",
 			Ts:   ev.Start,
@@ -221,11 +231,10 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			ce.Phase = "X"
 			ce.Dur = ev.End - ev.Start
 		}
-		out.TraceEvents = append(out.TraceEvents, ce)
+		out = append(out, ce)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(out); err != nil {
+	rows := []ChromeRow{{1, "I-side"}, {2, "D-side"}, {3, "write buffer"}, {4, "memory"}}
+	if err := EncodeChrome(w, "simulator", rows, out); err != nil {
 		return fmt.Errorf("simtrace: encoding chrome trace: %w", err)
 	}
 	return nil

@@ -6,27 +6,8 @@ import (
 	"sort"
 	"time"
 
-	"encoding/json"
+	"repro/internal/simtrace"
 )
-
-// chromeEvent is one entry of the Chrome trace-event JSON format, the same
-// shape internal/simtrace exports so both kinds of trace open identically
-// in Perfetto and chrome://tracing. Here ts/dur are real microseconds.
-type chromeEvent struct {
-	Name  string            `json:"name"`
-	Cat   string            `json:"cat,omitempty"`
-	Phase string            `json:"ph"`
-	Ts    int64             `json:"ts"`
-	Dur   int64             `json:"dur"`
-	Pid   int               `json:"pid"`
-	Tid   int               `json:"tid"`
-	Args  map[string]string `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
 
 // laneName labels a timeline row for the viewer's left gutter.
 func laneName(lane int) string {
@@ -56,26 +37,12 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 		lanes[sp.Lane] = true
 	}
-	laneIDs := make([]int, 0, len(lanes))
+	rows := make([]simtrace.ChromeRow, 0, len(lanes))
 	for l := range lanes {
-		laneIDs = append(laneIDs, l)
+		rows = append(rows, simtrace.ChromeRow{Tid: l, Name: laneName(l)})
 	}
-	sort.Ints(laneIDs)
-
-	out := chromeTrace{
-		TraceEvents:     make([]chromeEvent, 0, len(spans)+1+len(laneIDs)),
-		DisplayTimeUnit: "ms",
-	}
-	out.TraceEvents = append(out.TraceEvents, chromeEvent{
-		Name: "process_name", Phase: "M", Pid: 1,
-		Args: map[string]string{"name": "trace " + t.TraceID()},
-	})
-	for _, l := range laneIDs {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "thread_name", Phase: "M", Pid: 1, Tid: l,
-			Args: map[string]string{"name": laneName(l)},
-		})
-	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Tid < rows[j].Tid })
+	events := make([]simtrace.ChromeEvent, 0, len(spans))
 	for _, sp := range spans {
 		end := sp.End
 		if end.IsZero() {
@@ -88,7 +55,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		for k, v := range sp.Attrs {
 			args[k] = v
 		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+		events = append(events, simtrace.ChromeEvent{
 			Name:  sp.Name,
 			Cat:   "service",
 			Phase: "X",
@@ -99,7 +66,5 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			Args:  args,
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	return simtrace.EncodeChrome(w, "trace "+t.TraceID(), rows, events)
 }
