@@ -1,5 +1,6 @@
 # Pre-PR gate: run `make check` before sending changes for review.
 #
+#   fmt          — formatting: fails when gofmt would rewrite any file
 #   build        — compile every package, in both the default and the
 #                  obs_debug (deep-profiling) build configurations
 #   vet          — static analysis
@@ -29,19 +30,19 @@
 #                  checked-in bytes (drift fails)
 #   telemetrygate — span-recording overhead budget: the telemetry on/off
 #                  sub-benchmarks through the real service must stay within
-#                  2% of each other (bench2json -fail-over 2)
+#                  the shared overhead budget (see overhead_rounds)
 #   allocgate    — allocation budget: the deterministic benchmarks' allocs/op
 #                  and B/op against the checked-in BENCH snapshot
 #                  (bench2json -fail-metrics allocs/op,B/op)
 #   profilegate  — hot-path regression radar: two profiled cachesim runs into
 #                  a scratch ledger, then `simreport perf -gate`; plus the
-#                  profiling on/off overhead benchmark under the same 2%
-#                  budget as telemetrygate
+#                  profiling on/off overhead benchmark under the shared
+#                  overhead budget
 #   explaingate  — explainability contract: a -explain -selfcheck sweep
 #                  (3C conservation asserted inside every run) plus the
-#                  absent-vs-disabled overhead benchmark under the same 2%
-#                  budget as telemetrygate — runs without -explain must not
-#                  pay for the instrumentation's existence
+#                  absent-vs-disabled overhead benchmark under the shared
+#                  overhead budget — runs without -explain must not pay for
+#                  the instrumentation's existence
 #   check        — all of the above
 #
 # `make fuzz-long` runs the fuzzers for 30 s each and is not part of the
@@ -54,9 +55,12 @@
 
 GO ?= go
 
-.PHONY: check build vet test race fuzz fuzz-long selfcheck faults soak vulncheck attrib perfgate metricslint telemetrygate allocgate profilegate explaingate bench clean
+.PHONY: check fmt build vet test race fuzz fuzz-long selfcheck faults soak vulncheck attrib perfgate metricslint telemetrygate allocgate profilegate explaingate bench clean
 
-check: vet build test race fuzz selfcheck faults soak vulncheck attrib perfgate metricslint telemetrygate allocgate profilegate explaingate
+check: fmt vet build test race fuzz selfcheck faults soak vulncheck attrib perfgate metricslint telemetrygate allocgate profilegate explaingate
+
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "fmt: gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -130,30 +134,44 @@ perfgate:
 metricslint:
 	$(GO) run ./cmd/metricslint
 
-# Telemetry overhead budget: three independent rounds, each one `go test`
-# run measuring the off/on pair back to back (adjacent in time, so machine
-# drift hits both halves alike), each diffed on its own through the
-# bench2json fail-over gate. The gate passes if ANY round's pair is within
-# budget: interference would have to inflate the on-half of all three
-# rounds to fake a failure, while a real regression is present in every
-# round. The gate watches cpu-ns/op — overhead is CPU work, and wall time
-# on a shared runner absorbs stalls that land unevenly — and the threshold
-# is the 2% budget plus one percentage point of measurement floor (on a
-# shared single-core runner the serialized span recording itself measures
-# ~2–2.5%; a real regression shows up as tens of points).
+# The overhead budget shared by telemetrygate, profilegate and explaingate:
+# $(call overhead_rounds,GATE,BENCH,OFF,ON,BENCHTIME) runs three independent
+# rounds, each one `go test` run measuring BENCH's OFF and ON sub-benchmarks
+# back to back (adjacent in time, so machine drift hits both halves alike),
+# writing into the gate's scratch dir .GATE. Each round folds its halves
+# with -best (the `#N` suffix of a repeated sub-benchmark is stripped, so
+# repeats fold into one) and diffs them on its own through the bench2json
+# fail-over gate. The gate passes if ANY round's pair is within budget:
+# interference would have to inflate the on-half of all three rounds to
+# fake a failure, while a real regression is present in every round. The
+# budget gates cpu-ns/op, not wall time: overhead is CPU work, and wall
+# time on a shared runner absorbs scheduler stalls that land on one half
+# and not the other. The threshold is the 2% overhead budget plus one
+# percentage point of measurement floor (on a shared single-core runner
+# the serialized span recording itself measures ~2–2.5%; a real regression
+# shows up as tens of points). On failure the scratch dir survives for
+# inspection and CI artifact upload.
+define overhead_rounds
+@pass=0; for i in 1 2 3; do \
+	echo "$(1): overhead round $$i"; \
+	$(GO) test -run '^$$' -bench '$(2)/($(3)|$(4))' -benchtime $(5) . > .$(1)/bench$$i.txt || exit 1; \
+	grep -v '$(2)/$(4)' .$(1)/bench$$i.txt \
+		| sed -e 's|$(2)/$(3)|$(2)/guard|' -e 's|#[0-9]*||' \
+		| $(GO) run ./cmd/bench2json -best -o .$(1)/off$$i.json || exit 1; \
+	grep -v '$(2)/$(3)' .$(1)/bench$$i.txt \
+		| sed -e 's|$(2)/$(4)|$(2)/guard|' -e 's|#[0-9]*||' \
+		| $(GO) run ./cmd/bench2json -best -o .$(1)/on$$i.json || exit 1; \
+	if $(GO) run ./cmd/bench2json -diff -fail-over 3 -fail-metrics cpu-ns/op \
+		.$(1)/off$$i.json .$(1)/on$$i.json; then pass=1; fi; \
+done; \
+if [ $$pass -eq 0 ]; then echo "$(1): FAIL — every round over budget"; exit 1; fi
+endef
+
+# Telemetry overhead budget: span recording through the real service,
+# telemetry off versus on.
 telemetrygate:
 	@rm -rf .telemetrygate && mkdir -p .telemetrygate
-	@pass=0; for i in 1 2 3; do \
-		echo "telemetrygate: round $$i"; \
-		$(GO) test -run '^$$' -bench TelemetryOverhead -benchtime 50x . > .telemetrygate/bench$$i.txt || exit 1; \
-		grep -v 'TelemetryOverhead/on' .telemetrygate/bench$$i.txt | sed 's|TelemetryOverhead/off|TelemetryOverhead/guard|' \
-			| $(GO) run ./cmd/bench2json -best -o .telemetrygate/off$$i.json || exit 1; \
-		grep -v 'TelemetryOverhead/off' .telemetrygate/bench$$i.txt | sed 's|TelemetryOverhead/on|TelemetryOverhead/guard|' \
-			| $(GO) run ./cmd/bench2json -best -o .telemetrygate/on$$i.json || exit 1; \
-		if $(GO) run ./cmd/bench2json -diff -fail-over 3 -fail-metrics cpu-ns/op \
-			.telemetrygate/off$$i.json .telemetrygate/on$$i.json; then pass=1; fi; \
-	done; \
-	if [ $$pass -eq 0 ]; then echo "telemetrygate: FAIL — every round over budget"; exit 1; fi
+	$(call overhead_rounds,telemetrygate,TelemetryOverhead,off,on,50x)
 	@rm -rf .telemetrygate
 
 # Allocation budget: the benchmarks whose allocs/op and B/op reproduce
@@ -179,35 +197,14 @@ allocgate:
 # under the noise-aware share-point thresholds, so a function newly hot on
 # the capture path fails the gate; (2) the profiling on/off overhead
 # benchmark (CPU profiler armed at 100 Hz + dense heap sampling around the
-# same simulation) through the telemetrygate per-round recipe: each round
-# is one `go test` run measuring three off/on pairs back to back, folded
-# with -best and diffed on its own; any round within budget passes the
-# gate (interference would have to inflate the on-half of every round to
-# fake a failure; a real regression is present in all of them). The budget
-# gates cpu-ns/op, not wall time: profiling overhead is CPU work, and on a
-# shared runner wall time also absorbs scheduler stalls that land on one
-# sub-benchmark and not the other. The threshold is the 2% overhead budget
-# plus one percentage point of measurement floor (the measured overhead
-# itself is ~0–2%; a real regression shows up as tens of points).
-# On failure the scratch dir survives for inspection / CI artifact upload.
+# same simulation, three off/on pairs per round) under the shared overhead
+# budget (overhead_rounds).
 profilegate:
 	@rm -rf .profilegate && mkdir -p .profilegate
 	$(GO) run ./cmd/cachesim -workload all -scale 0.25 -ledger .profilegate -profile .profilegate/profiles >/dev/null
 	$(GO) run ./cmd/cachesim -workload all -scale 0.25 -ledger .profilegate -profile .profilegate/profiles >/dev/null
 	$(GO) run ./cmd/simreport perf -ledger .profilegate -gate
-	@pass=0; for i in 1 2 3; do \
-		echo "profilegate: overhead round $$i"; \
-		$(GO) test -run '^$$' -bench ProfileOverhead -benchtime 150x . > .profilegate/bench$$i.txt || exit 1; \
-		grep -v 'ProfileOverhead/on' .profilegate/bench$$i.txt \
-			| sed -e 's|ProfileOverhead/off|ProfileOverhead/guard|' -e 's|#[0-9]*||' \
-			| $(GO) run ./cmd/bench2json -best -o .profilegate/off$$i.json || exit 1; \
-		grep -v 'ProfileOverhead/off' .profilegate/bench$$i.txt \
-			| sed -e 's|ProfileOverhead/on|ProfileOverhead/guard|' -e 's|#[0-9]*||' \
-			| $(GO) run ./cmd/bench2json -best -o .profilegate/on$$i.json || exit 1; \
-		if $(GO) run ./cmd/bench2json -diff -fail-over 3 -fail-metrics cpu-ns/op \
-			.profilegate/off$$i.json .profilegate/on$$i.json; then pass=1; fi; \
-	done; \
-	if [ $$pass -eq 0 ]; then echo "profilegate: FAIL — every round over budget"; exit 1; fi
+	$(call overhead_rounds,profilegate,ProfileOverhead,off,on,150x)
 	@rm -rf .profilegate
 
 # Explainability contract, both halves. (1) 3C conservation on a small
@@ -217,14 +214,13 @@ profilegate:
 # independent miss counters) and any violation exits non-zero. Covers the
 # base system, a direct-mapped geometry (conflict-heavy), a write-heavy
 # set-associative buffer configuration and a two-level hierarchy.
-# (2) The overhead half through the telemetrygate per-round recipe:
-# absent (no Options) vs disabled (Options present, nothing armed) must
-# stay within the 2% budget plus one point of measurement floor — a
-# disarmed recorder takes the identical code path as no recorder, so this
-# gate trips only if someone reintroduces a cost on the unexplained path.
-# The armed variants (threec/reuse/full) are deliberately not gated:
-# shadow simulation has an inherent price, the contract is that only runs
-# asking for explanations pay it.
+# (2) The overhead half under the shared overhead budget
+# (overhead_rounds): absent (no Options) vs disabled (Options present,
+# nothing armed) — a disarmed recorder takes the identical code path as no
+# recorder, so this gate trips only if someone reintroduces a cost on the
+# unexplained path. The armed variants (threec/reuse/full) are
+# deliberately not gated: shadow simulation has an inherent price, the
+# contract is that only runs asking for explanations pay it.
 explaingate:
 	@rm -rf .explaingate && mkdir -p .explaingate
 	$(GO) run ./cmd/cachesim -workload mu3 -scale 0.05 -explain -selfcheck >/dev/null
@@ -232,17 +228,7 @@ explaingate:
 	$(GO) run ./cmd/cachesim -workload mu6 -scale 0.05 -size 32 -assoc 2 -explain -selfcheck >/dev/null
 	$(GO) run ./cmd/cachesim -workload rd2n4 -scale 0.05 -l2 256 -explain -selfcheck >/dev/null
 	@echo "explaingate: 3C conservation held on all runs"
-	@pass=0; for i in 1 2 3; do \
-		echo "explaingate: overhead round $$i"; \
-		$(GO) test -run '^$$' -bench 'ExplainOverhead/(absent|disabled)' -benchtime 50x . > .explaingate/bench$$i.txt || exit 1; \
-		grep -v 'ExplainOverhead/disabled' .explaingate/bench$$i.txt | sed 's|ExplainOverhead/absent|ExplainOverhead/guard|' \
-			| $(GO) run ./cmd/bench2json -best -o .explaingate/off$$i.json || exit 1; \
-		grep -v 'ExplainOverhead/absent' .explaingate/bench$$i.txt | sed 's|ExplainOverhead/disabled|ExplainOverhead/guard|' \
-			| $(GO) run ./cmd/bench2json -best -o .explaingate/on$$i.json || exit 1; \
-		if $(GO) run ./cmd/bench2json -diff -fail-over 3 -fail-metrics cpu-ns/op \
-			.explaingate/off$$i.json .explaingate/on$$i.json; then pass=1; fi; \
-	done; \
-	if [ $$pass -eq 0 ]; then echo "explaingate: FAIL — every round over budget"; exit 1; fi
+	$(call overhead_rounds,explaingate,ExplainOverhead,absent,disabled,50x)
 	@rm -rf .explaingate
 
 vulncheck:
