@@ -3,18 +3,14 @@
 // benchmarks for the design choices called out in DESIGN.md and
 // throughput microbenchmarks for the simulators themselves.
 //
-// The speed–size benchmarks (Figures 3-2 to 3-4 and Table 3) are cold:
-// each iteration sweeps a fresh Suite over traces generated before the
-// timer starts, so every iteration pays the behavioural passes and the
-// replays. The other figure benchmarks share one Suite (and thus its
-// profile cache and shared replays), so the first iteration pays the
-// simulations and later iterations measure little beyond the analyses.
+// The figure benchmarks are cold: each iteration runs a fresh Suite over
+// traces generated before the timer starts, so every iteration pays the
+// behavioural passes and the replays, not just memo lookups.
 package cachetime_test
 
 import (
 	"context"
 	"path/filepath"
-	"sync"
 	"syscall"
 	"testing"
 
@@ -35,17 +31,6 @@ import (
 // benchScale keeps the full benchmark sweep tractable while preserving the
 // workloads' footprints; EXPERIMENTS.md records results at larger scales.
 const benchScale = 0.08
-
-var (
-	suiteOnce sync.Once
-	suite     *experiments.Suite
-)
-
-func benchSuite(b *testing.B) *experiments.Suite {
-	b.Helper()
-	suiteOnce.Do(func() { suite = experiments.MustNewSuite(benchScale) })
-	return suite
-}
 
 // coldTraces generates the suite's traces and restarts the timer, for
 // benchmarks that sweep a fresh Suite over them every iteration.
@@ -77,8 +62,9 @@ func BenchmarkTable2MemoryCycles(b *testing.B) {
 }
 
 func BenchmarkFigure3_1(b *testing.B) {
-	s := benchSuite(b)
+	traces := coldTraces(b)
 	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuiteWithTraces(traces)
 		if _, err := s.RunFigure31(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
@@ -134,8 +120,9 @@ func BenchmarkTable3MissPenalty(b *testing.B) {
 }
 
 func BenchmarkFigure4_1(b *testing.B) {
-	s := benchSuite(b)
+	traces := coldTraces(b)
 	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuiteWithTraces(traces)
 		if _, err := s.RunFigure41(context.Background(), nil, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -143,8 +130,9 @@ func BenchmarkFigure4_1(b *testing.B) {
 }
 
 func BenchmarkFigure4_2(b *testing.B) {
-	s := benchSuite(b)
+	traces := coldTraces(b)
 	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuiteWithTraces(traces)
 		if _, err := s.RunFigure42(context.Background(), nil, nil, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -152,8 +140,9 @@ func BenchmarkFigure4_2(b *testing.B) {
 }
 
 func BenchmarkFigure4_3to5(b *testing.B) {
-	s := benchSuite(b)
+	traces := coldTraces(b)
 	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuiteWithTraces(traces)
 		f, err := s.RunFigure42(context.Background(), nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -165,8 +154,9 @@ func BenchmarkFigure4_3to5(b *testing.B) {
 }
 
 func BenchmarkFigure5_1(b *testing.B) {
-	s := benchSuite(b)
+	traces := coldTraces(b)
 	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuiteWithTraces(traces)
 		if _, err := s.RunFigure51(context.Background(), 0, nil, 0); err != nil {
 			b.Fatal(err)
 		}
@@ -174,8 +164,9 @@ func BenchmarkFigure5_1(b *testing.B) {
 }
 
 func BenchmarkFigure5_2(b *testing.B) {
-	s := benchSuite(b)
+	traces := coldTraces(b)
 	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuiteWithTraces(traces)
 		if _, err := s.RunFigure52(context.Background(), 0, nil, nil, nil, 0); err != nil {
 			b.Fatal(err)
 		}
@@ -183,8 +174,9 @@ func BenchmarkFigure5_2(b *testing.B) {
 }
 
 func BenchmarkFigure5_3(b *testing.B) {
-	s := benchSuite(b)
+	traces := coldTraces(b)
 	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuiteWithTraces(traces)
 		f52, err := s.RunFigure52(context.Background(), 0, nil, nil, nil, 0)
 		if err != nil {
 			b.Fatal(err)
@@ -196,8 +188,9 @@ func BenchmarkFigure5_3(b *testing.B) {
 }
 
 func BenchmarkFigure5_4(b *testing.B) {
-	s := benchSuite(b)
+	traces := coldTraces(b)
 	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuiteWithTraces(traces)
 		f52, err := s.RunFigure52(context.Background(), 0, nil, nil, nil, 0)
 		if err != nil {
 			b.Fatal(err)
@@ -211,8 +204,9 @@ func BenchmarkFigure5_4(b *testing.B) {
 }
 
 func BenchmarkMultilevel(b *testing.B) {
-	s := benchSuite(b)
+	traces := coldTraces(b)
 	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuiteWithTraces(traces)
 		if _, err := s.RunMultilevel(context.Background(), []int{8, 32}, 512, 40); err != nil {
 			b.Fatal(err)
 		}
@@ -220,8 +214,9 @@ func BenchmarkMultilevel(b *testing.B) {
 }
 
 func BenchmarkExtensionFetchSize(b *testing.B) {
-	s := benchSuite(b)
+	traces := coldTraces(b)
 	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuiteWithTraces(traces)
 		if _, err := s.RunFetchSize(context.Background(), 0, 32, nil, 0); err != nil {
 			b.Fatal(err)
 		}
@@ -229,8 +224,9 @@ func BenchmarkExtensionFetchSize(b *testing.B) {
 }
 
 func BenchmarkExtensionSplitUnified(b *testing.B) {
-	s := benchSuite(b)
+	traces := coldTraces(b)
 	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuiteWithTraces(traces)
 		if _, err := s.RunSplitUnified(context.Background(), nil, 0); err != nil {
 			b.Fatal(err)
 		}
