@@ -45,23 +45,16 @@ type ExecOptions struct {
 	// runner's isolation, retry and checkpoint machinery end-to-end.
 	Faults *faultinject.Plan
 	// Instruments arms the passive observers in every freshly computed
-	// simulation cell. Observed cells produce bit-identical results, so
-	// checkpoint keys do not encode the option, and cells replayed from a
-	// checkpoint skip simulation and observe nothing.
-	//   - Check runs the differential oracle (internal/check) in
-	//     behavioural passes, timing replays and full-system cells; a
-	//     divergence is a permanent (never-retried) cell error.
-	//   - Trace puts the warm-window cycle attribution in the output of
-	//     replay and system cells (aggregated into the Metrics registry
-	//     under obs.MAttribPrefix), and with the event ring armed the
-	//     first completed cell's timeline is kept for Suite.EventTrace.
-	//     Interval windows are stripped: replays compress hit runs into
-	//     gaps, so a cell has no per-couplet point to sample.
-	//   - Explain classifies misses (3C), histograms reuse distances and
-	//     heats sets in every behavioural pass and system cell. Counters
-	//     and system cells carry the warm-window report (aggregated under
-	//     the explain_* names); replay cells share their profile's one
-	//     report rather than repeat it per timing.
+	// cell; cells replayed from a checkpoint observe nothing. Results are
+	// bit-identical, so checkpoint keys do not encode the option.
+	//   - Check: a divergence is a permanent (never-retried) cell error.
+	//   - Trace: replay and system cells carry their warm-window cycle
+	//     attribution (aggregated under obs.MAttribPrefix), and the first
+	//     completed cell's event ring is kept for Suite.EventTrace.
+	//     Interval windows are stripped (see cellInstruments).
+	//   - Explain: counters and system cells carry the warm-window report
+	//     (aggregated under the explain_* names); replay cells share their
+	//     profile's one report rather than repeat it per timing.
 	Instruments system.Instruments
 }
 
@@ -104,9 +97,10 @@ type cellOut struct {
 	Explain *explain.Report `json:"explain,omitempty"`
 }
 
-// cellInstruments returns the sweep's instruments as a cell arms them:
-// interval windows are stripped, so a cell reports attribution and events
-// only, and a Trace that arms neither is dropped.
+// cellInstruments returns the sweep's instruments as a cell arms them.
+// Interval windows are stripped, because a replay compresses hit runs into
+// gaps and has no per-couplet point to sample, so a cell reports
+// attribution and events only; a Trace that arms neither is dropped.
 func (s *Suite) cellInstruments() system.Instruments {
 	in := s.exec.Instruments
 	if in.Trace != nil {
@@ -118,15 +112,6 @@ func (s *Suite) cellInstruments() system.Instruments {
 		}
 	}
 	return in
-}
-
-// cellRecorder builds a replay cell's simtrace recorder, or nil when
-// tracing is off.
-func (s *Suite) cellRecorder() *simtrace.Recorder {
-	if opts := s.cellInstruments().Trace; opts != nil {
-		return simtrace.New(*opts)
-	}
-	return nil
 }
 
 // offerEventTrace retains the first completed recorder with an armed event
@@ -234,7 +219,7 @@ func (s *Suite) replayCell(i int, org engine.Org, tm engine.Timing) runner.Cell[
 	return runner.Cell[cellOut]{
 		Key: runner.Key("replay/v1", s.traceFingerprint(i), s.Scale, org, tm),
 		Run: func(ctx context.Context) (cellOut, error) {
-			rec := s.cellRecorder()
+			rec := system.Instruments{Trace: s.cellInstruments().Trace}.Arm().Recorder()
 			res, err := s.Result(ctx, i, org, tm, rec)
 			if err != nil {
 				return cellOut{}, err

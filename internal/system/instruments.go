@@ -10,32 +10,27 @@ import (
 	"repro/internal/writebuf"
 )
 
-// Instruments selects the passive observers of a run: the check package's
-// reference model, the simtrace recorder and the explain recorder. Each is
-// off when nil. None of them changes a simulated cycle or counter.
+// Instruments selects the passive observers of a run, each off when nil.
+// None of them changes a simulated cycle or counter.
 type Instruments struct {
-	// Check, when non-nil, runs the reference model in lockstep with the
-	// L1 caches and write buffer: every access is diffed against the
-	// oracle and structural invariants run at the configured interval,
-	// with the first divergence aborting the run as a typed
+	// Check runs the reference model in lockstep with the L1 caches and
+	// write buffer; the first divergence aborts the run as a typed
 	// *check.Divergence error.
 	Check *check.Options
-	// Trace, when non-nil, arms the simtrace recorder: cycle attribution,
-	// interval windows and the timeline event ring.
+	// Trace arms the simtrace recorder: cycle attribution, interval
+	// windows and the timeline event ring.
 	Trace *simtrace.Options
-	// Explain, when non-nil and arming at least one instrument, arms the
-	// explain recorder: 3C miss classification against shadow infinite and
-	// fully-associative LRU caches, reuse-distance histograms and per-set
-	// pressure counters.
+	// Explain arms the explain recorder (3C classification, reuse
+	// distances, set pressure) when it arms at least one instrument.
 	Explain *explain.Options
 }
 
 // Observers is one run's armed instruments. Both simulator cores attach
-// it through the same methods: L1 at the first-level caches, Buf at the
+// them through the same methods: L1 at the first-level caches, Buf at the
 // L1 write buffer, MarkWarm at the warm boundary and Finish at the end.
 // The engine's behavioural pass attaches only L1 and its timing replay
-// only Buf, so each phase is handed the observers it can drive. A nil
-// *Observers observes nothing, and every method is a no-op on it.
+// only Buf, so each phase is handed the observers it drives. A nil
+// *Observers observes nothing: every method is a no-op on it.
 type Observers struct {
 	Check   *check.Checker
 	Trace   *simtrace.Recorder
@@ -100,19 +95,17 @@ func (o *Observers) Explainer() *explain.Recorder {
 	return o.Explain
 }
 
-// L1Cache is the cache interface both cores drive: satisfied by
-// *cache.Cache directly and by *check.Shadow when the oracle is armed, so
-// the reference model drops into a core without touching its timing logic.
+// L1Cache is the cache interface both cores drive: *cache.Cache, or its
+// *check.Shadow when the oracle is armed.
 type L1Cache interface {
 	Read(addr uint64) cache.Result
 	Write(addr uint64) cache.Result
 	Config() cache.Config
 }
 
-// L1Pair is a run's first-level caches as a core drives them: each side's
-// cache, behind its check shadow when the oracle is armed, and its explain
-// probe, nil when unexplained. A unified pair has one cache and one probe
-// on both sides.
+// L1Pair is a run's first-level caches as a core drives them, with each
+// side's explain probe (nil when unexplained). A unified pair has one
+// cache and one probe on both sides.
 type L1Pair struct {
 	I, D           L1Cache
 	IProbe, DProbe *explain.Probe
@@ -170,9 +163,8 @@ func (o *Observers) side(label string, c *cache.Cache) (L1Cache, *explain.Probe,
 
 // Buf attaches the observers to a run's L1 write buffer of the given
 // depth: the oracle audits it against a naive FIFO and checks its
-// structure and occupancy, the event ring records its writes, and with
-// both the oracle and attribution armed, attribution conservation joins
-// the oracle's battery.
+// structure and occupancy, the event ring records its writes, and
+// attribution conservation joins the oracle's battery.
 func (o *Observers) Buf(buf *writebuf.Buffer, depth int) {
 	if o == nil {
 		return
