@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/check"
 	"repro/internal/explain"
 	"repro/internal/mem"
 	"repro/internal/simtrace"
@@ -21,7 +22,8 @@ type System struct {
 
 	icache L1Cache
 	dcache L1Cache
-	obs    *Observers // nil unless cfg.Instruments arms an observer
+	obs    *Observers     // nil unless cfg.Instruments arms an observer
+	chk    *check.Checker // the observers' oracle, or nil
 	unit   *mem.Unit
 	levels []*cacheLevel // L2, L3, … ordered from nearest to L1
 	down   Downstream
@@ -116,7 +118,7 @@ func (s *System) reset(traceName string) error {
 	} else {
 		s.hist = nil
 	}
-	s.rec, s.svc = s.obs.Recorder(), nil
+	s.chk, s.rec, s.svc = s.obs.Checker(), s.obs.Recorder(), nil
 	if s.rec != nil {
 		s.svc = make([]int64, len(s.levels)+1)
 	}
@@ -219,11 +221,10 @@ func (s *System) Run(t *trace.Trace) (Result, error) {
 	var now int64
 	var warmSnap Counters
 	warmTaken := t.WarmStart == 0
-	chk := s.obs.Checker()
 
 	for i := 0; i < len(refs); {
-		if chk != nil {
-			if err := chk.Err(); err != nil {
+		if s.chk != nil {
+			if err := s.chk.Err(); err != nil {
 				return Result{}, err
 			}
 		}
