@@ -25,11 +25,12 @@ type Instruments struct {
 	Explain *explain.Options
 }
 
-// Observers is one run's armed instruments. Both simulator cores attach
-// them through the same methods: L1 at the first-level caches, Buf at the
-// L1 write buffer, MarkWarm at the warm boundary and Finish at the end.
-// The engine's behavioural pass attaches only L1 and its timing replay
-// only Buf, so each phase is handed the observers it drives. A nil
+// Observers is one run's armed instruments, built by Arm or assembled
+// around a recorder the caller already holds. Both simulator cores attach
+// them through the same methods: Name and L1 at the first-level caches,
+// Buf at the L1 write buffer, MarkWarm at the warm boundary and Finish at
+// the end. The engine's behavioural pass attaches only L1 and its timing
+// replay only Buf, so each phase is handed the observers it drives. A nil
 // *Observers observes nothing: every method is a no-op on it.
 type Observers struct {
 	Check   *check.Checker
