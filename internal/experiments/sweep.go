@@ -86,14 +86,14 @@ type cellOut struct {
 	// Warm holds the measured-window counters (timing fields populated
 	// for replay/system cells, zero for pure behavioural cells).
 	Warm system.Counters `json:"warm"`
-	// Attrib is the warm-window cycle attribution, present only when
-	// ExecOptions.Trace armed it (omitted otherwise, so checkpoint bytes
-	// without instrumentation are unchanged).
+	// Attrib is the warm-window cycle attribution, present only when the
+	// sweep's Trace instrument armed it (omitted otherwise, so checkpoint
+	// bytes without instrumentation are unchanged).
 	Attrib *simtrace.Attribution `json:"attrib,omitempty"`
 	// Explain is the warm-window explainability report, present only when
-	// ExecOptions.Explain armed it (same checkpoint-byte discipline as
-	// Attrib) and only on counters/system cells — replay cells would
-	// repeat their shared profile's report once per timing.
+	// the sweep's Explain instrument armed it (same checkpoint-byte
+	// discipline as Attrib) and only on counters/system cells — replay
+	// cells would repeat their shared profile's report once per timing.
 	Explain *explain.Report `json:"explain,omitempty"`
 }
 
@@ -130,8 +130,8 @@ func (s *Suite) offerEventTrace(rec *simtrace.Recorder) {
 // EventTrace returns a representative timeline of the suite's sweeps: the
 // recorder of the first freshly computed cell that completed with the
 // event ring armed (which cell that is depends on worker scheduling), or
-// nil when ExecOptions.Trace never armed events or every cell was replayed
-// from a checkpoint.
+// nil when the sweep's Trace instrument never armed events or every cell
+// was replayed from a checkpoint.
 func (s *Suite) EventTrace() *simtrace.Recorder {
 	s.evMu.Lock()
 	defer s.evMu.Unlock()

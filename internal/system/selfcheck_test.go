@@ -79,13 +79,13 @@ func mustJSON(t *testing.T, v any) string {
 }
 
 // TestRunSelfCheckKeyStability guards the checkpoint-key property: the
-// SelfCheck field must not leak into the JSON encoding that runner keys
+// Instruments field must not leak into the JSON encoding that runner keys
 // hash.
 func TestRunSelfCheckKeyStability(t *testing.T) {
 	cfg := system.DefaultConfig()
 	plainJSON := mustJSON(t, cfg)
 	cfg.Instruments.Check = &check.Options{Every: 1}
 	if got := mustJSON(t, cfg); got != plainJSON {
-		t.Errorf("SelfCheck leaks into the JSON encoding:\n%s\nvs\n%s", got, plainJSON)
+		t.Errorf("Instruments leak into the JSON encoding:\n%s\nvs\n%s", got, plainJSON)
 	}
 }
